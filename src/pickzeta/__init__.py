@@ -19,7 +19,6 @@ from .config import RunConfig, load_config
 from .dirichlet import (
     CoefficientSeries,
     HalfPlanePoint,
-    PrimeTable,
     dirichlet_convolve,
     euler_product,
     mobius,

@@ -1,7 +1,7 @@
 """Command-line interface.
 
 Subcommands: zeta, pick-check, counterexample, solve, realize,
-search-dirichlet.  Reports are deterministic given (input, config, seed):
+search-dirichlet.  Reports are deterministic given the input and config:
 JSON output is canonical (sorted keys, no timestamps), so two identical
 runs produce byte-identical bytes.  Exit codes: 0 success, 1 mathematical
 infeasibility or a failed certificate, 2 input error.
@@ -20,7 +20,6 @@ import numpy as np
 
 from . import serialize
 from .config import FORMATS, RunConfig, load_config
-from .dirichlet import set_default_prime_table
 from .dirichlet import zeta as zeta_fn
 from .errors import (
     AccuracyError,
@@ -420,8 +419,6 @@ def make_parser() -> argparse.ArgumentParser:
                         help="override the PSD tolerance")
     common.add_argument("--trunc", type=int, default=argparse.SUPPRESS,
                         help="override the feature truncation")
-    common.add_argument("--seed", type=int, default=argparse.SUPPRESS,
-                        help="seed echoed into reports")
 
     parser = argparse.ArgumentParser(
         prog="pickzeta",
@@ -502,10 +499,7 @@ def main(argv=None) -> int:
 
     try:
         config = load_config(flag("config")).override(
-            psd_tol=flag("tol"), trunc=flag("trunc"), seed=flag("seed"),
-            format=flag("format"))
-        if config.prime_limit != RunConfig().prime_limit:
-            set_default_prime_table(config.prime_limit)
+            psd_tol=flag("tol"), trunc=flag("trunc"), format=flag("format"))
         if args.command == "solve" and not args.problem and not args.evaluate:
             raise ValidationError("solve needs a problem file or --evaluate")
         if args.command == "solve" and args.evaluate and not args.at:

@@ -19,9 +19,7 @@ class RunConfig:
     psd_tol: float = 1e-10
     rank_tol: float = 1e-8
     trunc: int = 1000
-    prime_limit: int = 10**4
     format: str = "json"
-    seed: int = 0
 
     def __post_init__(self):
         for name in ("zeta_abs_err", "psd_tol", "rank_tol"):
@@ -29,8 +27,6 @@ class RunConfig:
                 raise ValidationError(f"{name} must be positive")
         if self.trunc < 10:
             raise ValidationError("trunc must be at least 10")
-        if self.prime_limit < 2:
-            raise ValidationError("prime_limit must be at least 2")
         if self.format not in FORMATS:
             raise ValidationError(f"format must be one of {FORMATS}")
 

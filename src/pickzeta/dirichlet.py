@@ -35,6 +35,9 @@ _NEXT_WEIGHT = 7.0 / 6.0 / math.factorial(14)
 
 _CUTOFF_CAP = 10**7
 
+# Largest n that mobius factors: trial division sieves to sqrt(n).
+_FACTOR_CAP = 10**14
+
 
 @dataclass(frozen=True)
 class HalfPlanePoint:
@@ -63,53 +66,23 @@ def as_point(z, floor: float) -> HalfPlanePoint:
     return HalfPlanePoint(complex(z), floor)
 
 
-class PrimeTable:
-    """Primes up to ``limit`` from a sieve of Eratosthenes.
-
-    Supports trial-division factorization of any n <= limit**2: after all
-    prime factors <= sqrt(n) are removed, the cofactor is prime.
-    """
-
-    def __init__(self, limit: int = 10**4):
-        if limit < 2:
-            raise ValidationError("prime table limit must be >= 2")
-        self.limit = int(limit)
-        sieve = np.ones(self.limit + 1, dtype=bool)
-        sieve[:2] = False
-        for p in range(2, math.isqrt(self.limit) + 1):
-            if sieve[p]:
-                sieve[p * p :: p] = False
-        self.primes = np.nonzero(sieve)[0]
-
-    def __len__(self):
-        return len(self.primes)
-
-    def nth(self, n: int) -> int:
-        """The n-th prime, 1-indexed (nth(1) == 2)."""
-        if not 1 <= n <= len(self.primes):
-            raise ValidationError(f"prime index {n} outside table of size {len(self.primes)}")
-        return int(self.primes[n - 1])
-
-    @property
-    def factorization_limit(self) -> int:
-        return self.limit * self.limit
+def _primes(limit: int) -> np.ndarray:
+    """Primes <= limit, by the sieve of Eratosthenes."""
+    sieve = np.ones(limit + 1, dtype=bool)
+    sieve[:2] = False
+    for p in range(2, math.isqrt(limit) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = False
+    return np.nonzero(sieve)[0]
 
 
-_DEFAULT_TABLE: PrimeTable | None = None
-
-
-def default_prime_table() -> PrimeTable:
-    global _DEFAULT_TABLE
-    if _DEFAULT_TABLE is None:
-        _DEFAULT_TABLE = PrimeTable()
-    return _DEFAULT_TABLE
-
-
-def set_default_prime_table(limit: int) -> PrimeTable:
-    """Install a sieve of the given limit as the process-wide default."""
-    global _DEFAULT_TABLE
-    _DEFAULT_TABLE = PrimeTable(limit)
-    return _DEFAULT_TABLE
+def _first_primes(count: int) -> list:
+    """The first ``count`` primes, sieved to Rosser's bound
+    p_n < n (ln n + ln ln n), which holds for n >= 6."""
+    if count < 1:
+        return []
+    bound = 13 if count < 6 else int(count * (math.log(count) + math.log(math.log(count))))
+    return _primes(bound)[:count].tolist()
 
 
 def _rising(s: complex, terms: int) -> complex:
@@ -184,24 +157,18 @@ def zeta_reciprocal(s, target_abs_err: float = DEFAULT_ABS_ERR) -> complex:
     return 1.0 / z
 
 
-def mobius(n: int, table: PrimeTable | None = None) -> int:
+def mobius(n: int) -> int:
     """Mobius function: 1 at n=1, (-1)^j on squarefree n with j prime
     factors, 0 when a square divides n."""
     if n < 1:
         raise DomainError("mobius is defined on positive integers")
-    table = table or default_prime_table()
-    if n > table.factorization_limit:
-        raise AccuracyError(
-            f"n = {n} exceeds factorization limit {table.factorization_limit}"
-        )
+    if n > _FACTOR_CAP:
+        raise AccuracyError(f"n = {n} exceeds factorization limit {_FACTOR_CAP}")
     if n == 1:
         return 1
     remaining = n
     factors = 0
-    root = math.isqrt(n)
-    for p in table.primes:
-        if p > root:
-            break
+    for p in _primes(math.isqrt(n)).tolist():
         if remaining % p == 0:
             remaining //= p
             if remaining % p == 0:
@@ -217,12 +184,7 @@ def mobius_range(limit: int) -> np.ndarray:
     if limit < 1:
         raise ValidationError("limit must be >= 1")
     mu = np.ones(limit + 1, dtype=np.int64)
-    sieve = np.ones(limit + 1, dtype=bool)
-    sieve[:2] = False
-    for p in range(2, math.isqrt(limit) + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = False
-    for p in np.nonzero(sieve)[0]:
+    for p in _primes(limit):
         mu[p::p] *= -1
         mu[p * p :: p * p] = 0
     mu[0] = 0
@@ -295,26 +257,34 @@ def dirichlet_convolve(a: CoefficientSeries, b: CoefficientSeries) -> Coefficien
 
 
 def zeta_power_coeffs(power: int, trunc: int) -> CoefficientSeries:
-    """Coefficients d_m(n) of zeta^m: the m-fold convolution of all ones."""
+    """Coefficients d_m(n) of zeta^m, the m-fold convolution of all ones.
+
+    d_m is multiplicative with d_m(p^a) = C(a+m-1, m-1).  Each prime power
+    q = p^a swaps the factor C(a+m-2, m-1) of the multiples of q for
+    C(a+m-1, m-1); every step is exact while d_m(n) < 2^53.
+    """
     if power < 1:
         raise ValidationError("power must be a positive integer")
-    ones = CoefficientSeries.ones(trunc)
-    out = ones
-    for _ in range(power - 1):
-        out = dirichlet_convolve(out, ones)
-    return CoefficientSeries(out.coeffs, f"zeta^{power}")
+    d = np.ones(trunc + 1)
+    if power > 1:
+        for p in _primes(trunc).tolist():
+            q, a = p, 1
+            while q <= trunc:
+                if a > 1:
+                    d[q::q] /= math.comb(a + power - 2, power - 1)
+                d[q::q] *= math.comb(a + power - 1, power - 1)
+                q, a = q * p, a + 1
+    return CoefficientSeries(d[1:], f"zeta^{power}")
 
 
-def smooth_numbers(n: int, limit: int, table: PrimeTable | None = None) -> np.ndarray:
+def smooth_numbers(n: int, limit: int) -> np.ndarray:
     """All integers <= limit whose prime factors are among the first n primes."""
     if n < 1:
         raise ValidationError("n must be >= 1")
     if limit < 1:
         return np.array([], dtype=np.int64)
-    table = table or default_prime_table()
-    primes = [table.nth(i) for i in range(1, n + 1)]
     vals = [1]
-    for p in primes:
+    for p in _first_primes(n):
         extended = []
         for v in vals:
             w = v
@@ -325,8 +295,7 @@ def smooth_numbers(n: int, limit: int, table: PrimeTable | None = None) -> np.nd
     return np.array(sorted(vals), dtype=np.int64)
 
 
-def smooth_partial_sum(n: int, sigma: float, limit: int,
-                       table: PrimeTable | None = None) -> float:
+def smooth_partial_sum(n: int, sigma: float, limit: int) -> float:
     """Sum of j^(-sigma) over the p_n-smooth integers j <= limit.
 
     Increases with ``limit`` and converges to the Euler product
@@ -335,16 +304,15 @@ def smooth_partial_sum(n: int, sigma: float, limit: int,
     """
     if sigma <= 0:
         raise DomainError("sigma must be positive")
-    vals = smooth_numbers(n, limit, table).astype(float)
+    vals = smooth_numbers(n, limit).astype(float)
     return float(np.sum(np.exp(-sigma * np.log(vals[::-1]))))
 
 
-def euler_product(n: int, sigma: float, table: PrimeTable | None = None) -> float:
+def euler_product(n: int, sigma: float) -> float:
     """The closed product prod_{i<=n} (1 - p_i^(-sigma))^(-1)."""
     if sigma <= 0:
         raise DomainError("sigma must be positive")
-    table = table or default_prime_table()
     out = 1.0
-    for i in range(1, n + 1):
-        out /= 1.0 - table.nth(i) ** (-sigma)
+    for p in _first_primes(n):
+        out /= 1.0 - p ** (-sigma)
     return out

@@ -20,7 +20,6 @@ from .dirichlet import (
     CoefficientSeries,
     HalfPlanePoint,
     as_point,
-    mobius_range,
     zeta,
     zeta_power_coeffs,
     zeta_reciprocal,
@@ -159,10 +158,16 @@ def gram_matrix(spec: KernelSpec, points, tol: float = DEFAULT_ABS_ERR) -> np.nd
         for j in range(i + 1, k):
             if abs(pts[i] - pts[j]) <= NODE_SEPARATION:
                 raise ValidationError(f"duplicate points at indices {i}, {j}")
+    return hermitian_fill(k, lambda i, j: kernel_eval(spec, pts[i], pts[j], tol))
+
+
+def hermitian_fill(k: int, entry) -> np.ndarray:
+    """The k x k Hermitian matrix with entry(i, j) on and above the
+    diagonal and its conjugate below."""
     out = np.empty((k, k), dtype=complex)
     for i in range(k):
         for j in range(i, k):
-            val = kernel_eval(spec, pts[i], pts[j], tol)
+            val = entry(i, j)
             out[i, j] = val
             out[j, i] = np.conj(val)
     return out
@@ -231,19 +236,3 @@ def feature_map(spec: KernelSpec, s, trunc: int,
             suggested_trunc=2 * trunc,
         )
     return FeatureVector(coords, z, spec, tail)
-
-
-def zeta_feature(s, trunc: int) -> np.ndarray:
-    """Raw coordinates (n^(-s))_{n<=N} of the zeta-kernel section at s."""
-    z = complex(s.value if isinstance(s, HalfPlanePoint) else s)
-    n = np.arange(1, trunc + 1, dtype=float)
-    return np.exp(-z * np.log(n))
-
-
-def mobius_feature(s, trunc: int, sqrt_coeffs: np.ndarray | None = None) -> np.ndarray:
-    """Coordinates (sqrt(1 + mu(m)) m^(-s))_{m<=N} of the zeta+1/zeta kernel."""
-    z = complex(s.value if isinstance(s, HalfPlanePoint) else s)
-    if sqrt_coeffs is None:
-        sqrt_coeffs = np.sqrt(1.0 + mobius_range(trunc)[1:].astype(float))
-    m = np.arange(1, trunc + 1, dtype=float)
-    return sqrt_coeffs * np.exp(-z * np.log(m))

@@ -107,9 +107,9 @@ def certify_psd(matrix, psd_tol: float = DEFAULT_PSD_TOL,
                 rank_tol: float = DEFAULT_RANK_TOL) -> PickCertificate:
     """Decide PSD-ness of a Hermitian matrix with margins and a witness."""
     m = np.asarray(matrix, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValidationError("certify_psd needs a square matrix")
-    scale = max(1.0, float(np.abs(m).max()) if m.size else 0.0)
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.size == 0:
+        raise ValidationError("certify_psd needs a nonempty square matrix")
+    scale = max(1.0, float(np.abs(m).max()))
     if float(np.abs(m - m.conj().T).max()) > 1e-12 * scale:
         raise ValidationError("matrix is not Hermitian within tolerance")
     herm = 0.5 * (m + m.conj().T)
@@ -140,7 +140,6 @@ def certify_psd(matrix, psd_tol: float = DEFAULT_PSD_TOL,
 
 def pick_matrix(problem: InterpolationProblem, tol: float = DEFAULT_ABS_ERR) -> np.ndarray:
     """The Pick matrix [(1 - w_i conj(w_j)) k(x_i, x_j)] of a problem."""
-    k = problem.size
     gram = gram_matrix(problem.kernel, problem.nodes, tol)
     w = np.asarray(problem.targets, dtype=complex)
     return (1.0 - np.outer(w, w.conj())) * gram

@@ -28,7 +28,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.linalg
 
-from .dirichlet import mobius_range, zeta, zeta_reciprocal
+from .dirichlet import CoefficientSeries, zeta, zeta_reciprocal
 from .errors import (
     DomainError,
     HypothesisError,
@@ -36,6 +36,7 @@ from .errors import (
     TruncationError,
     ValidationError,
 )
+from .kernels import hermitian_fill
 from .pick import DEFAULT_PSD_TOL, PickCertificate, certify_psd
 
 DEFAULT_ALPHA = 2.0
@@ -45,6 +46,11 @@ QR_DROP_TOL = 1e-12
 def _inner(x, y):
     """<x, y> with the second slot conjugated (matches kernel convention)."""
     return complex(np.vdot(y, x))
+
+
+def mobius_weights(trunc: int) -> np.ndarray:
+    """sqrt(1 + mu(m)) for m = 1..trunc: the feature weights of zeta + 1/zeta."""
+    return np.sqrt(CoefficientSeries.one_plus_mobius(trunc).coeffs.real)
 
 
 @dataclass(frozen=True)
@@ -94,13 +100,8 @@ def defect_gram(phi, points, zeta_tol: float = 1e-13,
         if not p.real > 0.5:
             raise DomainError(f"sample point {p} must satisfy Re > 1/2")
     vals = np.array([complex(phi(p)) for p in pts])
-    k = len(pts)
-    out = np.empty((k, k), dtype=complex)
-    for i in range(k):
-        for j in range(i, k):
-            g = (1.0 - vals[i] * np.conj(vals[j])) * zeta(pts[i] + np.conj(pts[j]), zeta_tol)
-            out[i, j] = g
-            out[j, i] = np.conj(g)
+    out = hermitian_fill(len(pts), lambda i, j: (1.0 - vals[i] * np.conj(vals[j]))
+                         * zeta(pts[i] + np.conj(pts[j]), zeta_tol))
     lo = float(np.linalg.eigvalsh(out)[0])
     scale = max(1.0, float(np.abs(out).max()))
     if lo < -psd_tol * scale:
@@ -150,7 +151,7 @@ class FeatureTransfer:
         if not abs(alpha) > 1.0:
             raise DomainError("alpha must satisfy |alpha| > 1")
         if mu_sqrt is None:
-            mu_sqrt = np.sqrt(1.0 + mobius_range(trunc)[1:].astype(float))
+            mu_sqrt = mobius_weights(trunc)
         if mu_sqrt.size != trunc:
             raise ValidationError("mu_sqrt length must equal the truncation")
         self.point = point
@@ -327,7 +328,7 @@ def build_realization(phi: DirichletMultiplier, points, trunc: int = 1000,
     gram = defect_gram(phi, pts)
     psi, rank = psd_factor(gram, factor_tol)
     psi = np.ascontiguousarray(psi)
-    mu_sqrt = np.sqrt(1.0 + mobius_range(trunc)[1:].astype(float))
+    mu_sqrt = mobius_weights(trunc)
     phi_vals = np.array([complex(phi(p)) for p in pts])
 
     if rank == 0:
@@ -511,13 +512,8 @@ def verify_realization(model: RealizationModel, grid=None,
     try:
         for i, g in enumerate(grid):
             values[i] = evaluate_realization(model, g)
-        k = len(grid)
-        gram = np.empty((k, k), dtype=complex)
-        for i in range(k):
-            for j in range(i, k):
-                val = (1.0 - values[i] * np.conj(values[j])) * zeta(grid[i] + np.conj(grid[j]))
-                gram[i, j] = val
-                gram[j, i] = np.conj(val)
+        gram = hermitian_fill(len(grid), lambda i, j: (1.0 - values[i] * np.conj(values[j]))
+                              * zeta(grid[i] + np.conj(grid[j])))
         scale = max(1.0, float(np.abs(gram).max()))
         gram_cert = certify_psd(gram, psd_tol=psd_slack, rank_tol=1e-8)
         psd_ok = gram_cert.min_eigenvalue >= -psd_slack * scale

@@ -55,10 +55,6 @@ def _apply_step(node, parameter, z, inner):
     return (t + parameter) / (1.0 + np.conj(parameter) * t)
 
 
-def _polymul(a, b):
-    return np.convolve(a, b)
-
-
 def _trim(poly, rel_tol=1e-12):
     scale = np.abs(poly).max()
     if scale == 0.0:
@@ -142,14 +138,14 @@ class RationalSchurFunction:
                 num = np.array([self.unimodular], dtype=complex)
                 den = np.array([1.0 + 0.0j])
                 for a in self.zeros:
-                    num = _polymul(num, np.array([-a, 1.0]))
-                    den = _polymul(den, np.array([1.0, -np.conj(a)]))
+                    num = np.convolve(num, np.array([-a, 1.0]))
+                    den = np.convolve(den, np.array([1.0, -np.conj(a)]))
             else:
                 num = np.array([self.terminal], dtype=complex)
                 den = np.array([1.0 + 0.0j])
                 for node, gamma in reversed(self.steps):
-                    up = _polymul(np.array([-node, 1.0]), num)
-                    down = _polymul(np.array([1.0, -np.conj(node)]), den)
+                    up = np.convolve(np.array([-node, 1.0]), num)
+                    down = np.convolve(np.array([1.0, -np.conj(node)]), den)
                     num = up + gamma * down
                     den = down + np.conj(gamma) * up
             self._poly = (num, den)
@@ -382,13 +378,13 @@ class ParametrizationMatrix:
             a21, a22 = np.conj(gamma) * up, down
             # All four entries share one length per level, so plain
             # addition of the ascending coefficient arrays is aligned.
-            m11 = _polymul(n11, a11) + _polymul(n12, a21)
-            m12 = _polymul(n11, a12) + _polymul(n12, a22)
-            m21 = _polymul(n21, a11) + _polymul(n22, a21)
-            m22 = _polymul(n21, a12) + _polymul(n22, a22)
+            m11 = np.convolve(n11, a11) + np.convolve(n12, a21)
+            m12 = np.convolve(n11, a12) + np.convolve(n12, a22)
+            m21 = np.convolve(n21, a11) + np.convolve(n22, a21)
+            m22 = np.convolve(n21, a12) + np.convolve(n22, a22)
             n11, n12, n21, n22 = m11, m12, m21, m22
-            zeros_poly = _polymul(zeros_poly, np.array([-node, 1.0]))
-            dens_poly = _polymul(dens_poly, np.array([1.0, -np.conj(node)]))
+            zeros_poly = np.convolve(zeros_poly, np.array([-node, 1.0]))
+            dens_poly = np.convolve(dens_poly, np.array([1.0, -np.conj(node)]))
         self._n = (n11, n12, n21, n22)
         self._zeros_poly = zeros_poly
         self._dens_poly = dens_poly

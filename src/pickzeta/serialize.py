@@ -15,7 +15,7 @@ from .dirichlet import CoefficientSeries
 from .errors import ValidationError
 from .kernels import DIAGONAL, KernelSpec, ZETA_POWER
 from .pick import CONVENTION, InterpolationProblem, PickCertificate
-from .realization import DirichletMultiplier, RealizationModel
+from .realization import DirichletMultiplier, RealizationModel, mobius_weights
 from .schur import HalfPlaneSchurFunction, RationalSchurFunction
 
 SCHEMA = "pickzeta/1"
@@ -193,8 +193,6 @@ def encode_model(model: RealizationModel) -> dict:
 
 
 def decode_model(data) -> RealizationModel:
-    from .dirichlet import mobius_range  # local: heavy sieve only when needed
-
     if not isinstance(data, dict):
         raise ValidationError("model file must hold a JSON object")
     trunc = int(data["trunc"])
@@ -204,7 +202,6 @@ def decode_model(data) -> RealizationModel:
     d_left = decode_matrix(data["d_left"]) if data.get("d_left") else np.zeros((dim, 0), complex)
     d_right = decode_matrix(data["d_right"]) if data.get("d_right") else np.zeros((dim, 0), complex)
     mult = decode_multiplier(data["multiplier"]) if data.get("multiplier") else None
-    mu_sqrt = np.sqrt(1.0 + mobius_range(trunc)[1:].astype(float))
     return RealizationModel(
         points=tuple(decode_vector(data["points"])),
         trunc=trunc,
@@ -216,7 +213,7 @@ def decode_model(data) -> RealizationModel:
         gamma=decode_vector(data["gamma"]),
         d_left=d_left,
         d_right=d_right,
-        mu_sqrt=mu_sqrt,
+        mu_sqrt=mobius_weights(trunc),
         certificates=dict(data.get("certificates", {})),
         multiplier=mult,
     )

@@ -60,6 +60,23 @@ def mobius_trial(n: int) -> int:
     return -1 if count % 2 else 1
 
 
+def primes_trial(count: int) -> list:
+    """The first ``count`` primes by trial division, no sieve."""
+    out = []
+    n = 2
+    while len(out) < count:
+        for p in out:
+            if p * p > n:
+                out.append(n)
+                break
+            if n % p == 0:
+                break
+        else:
+            out.append(n)
+        n += 1
+    return out
+
+
 def divisor_counts(limit: int) -> np.ndarray:
     """tau(n) for n = 1..limit by brute-force divisor enumeration."""
     out = np.zeros(limit, dtype=np.int64)

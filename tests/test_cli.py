@@ -287,14 +287,23 @@ class TestConfig:
         assert code == 0
         assert "pickzeta/1" in out
 
-    def test_prime_limit_flows_from_config(self, capsys, tmp_path):
+    @pytest.mark.parametrize("key", ["seed", "prime_limit"])
+    def test_removed_keys_are_unknown(self, capsys, tmp_path, key):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"prime_limit": 50}))
-        code, _ = run_cli(capsys, "--config", str(cfg), "zeta", "--s", "2")
+        cfg.write_text(json.dumps({key: 50}))
+        code, out = run_cli(capsys, "--config", str(cfg), "zeta", "--s", "2")
+        assert code == 2
+        assert key in json.loads(out)["error"]
+
+    def test_seed_flag_is_rejected(self, capsys):
+        code, _ = run_cli(capsys, "--seed", "3", "zeta", "--s", "2")
+        assert code == 2
+
+    def test_report_config_keys(self, capsys):
+        code, out = run_cli(capsys, "zeta", "--s", "2")
         assert code == 0
-        from pickzeta.dirichlet import default_prime_table, set_default_prime_table
-        assert default_prime_table().limit == 50
-        set_default_prime_table(10**4)
+        assert sorted(json.loads(out)["config"]) == [
+            "format", "psd_tol", "rank_tol", "trunc", "zeta_abs_err"]
 
 
 class TestModelFileDeterminism:

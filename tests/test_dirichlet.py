@@ -6,7 +6,6 @@ from pickzeta import (
     CoefficientSeries,
     DomainError,
     HalfPlanePoint,
-    PrimeTable,
     dirichlet_convolve,
     euler_product,
     mobius,
@@ -22,6 +21,7 @@ from oracles import (
     divisor_counts,
     divisor_function_m,
     mobius_trial,
+    primes_trial,
     zeta_alternating,
     zeta_partial_sum_bracket,
 )
@@ -118,9 +118,12 @@ class TestMobius:
             assert mu[n] == mobius(n)
 
     def test_factorization_limit(self):
-        table = PrimeTable(10)
         with pytest.raises(AccuracyError):
-            mobius(101, table)
+            mobius(10**14 + 1)
+
+    @pytest.mark.parametrize("n", [10**8 + 7, 10**8 + 8, 99991 * 99989, 6 * 10007**2])
+    def test_past_old_table_cap(self, n):
+        assert mobius(n) == mobius_trial(n)
 
     def test_rejects_nonpositive(self):
         with pytest.raises(DomainError):
@@ -161,6 +164,15 @@ class TestZetaPowers:
 
     def test_two_fold_at_six(self):
         assert zeta_power_coeffs(2, 10).term(6) == 4
+
+    @pytest.mark.parametrize("m", range(1, 9))
+    def test_matches_repeated_convolution(self, m):
+        n = 2000
+        ones = CoefficientSeries.ones(n)
+        reference = ones
+        for _ in range(m - 1):
+            reference = dirichlet_convolve(reference, ones)
+        assert np.array_equal(zeta_power_coeffs(m, n).coeffs, reference.coeffs)
 
     def test_matches_brute_force(self):
         for m in (2, 3):
@@ -207,6 +219,20 @@ class TestSmoothSums:
             assert value <= limit + 1e-12
             previous = value
 
+    def test_more_primes_than_old_table(self):
+        # 1229 primes lie below 10^4; the 1230th, 10007, is the first above.
+        assert primes_trial(1230)[-1] == 10007
+        assert np.array_equal(smooth_numbers(1300, 10**4), np.arange(1, 10**4 + 1))
+        assert smooth_numbers(1229, 10007)[-1] == 10006
+        assert smooth_numbers(1230, 10007)[-1] == 10007
+
+    @pytest.mark.parametrize("sigma", [0.6, 2.0])
+    def test_euler_product_past_old_table(self, sigma):
+        expected = 1.0
+        for p in primes_trial(1500):
+            expected /= 1.0 - p ** (-sigma)
+        assert euler_product(1500, sigma) == pytest.approx(expected, rel=1e-13)
+
     def test_smooth_number_membership(self):
         vals = smooth_numbers(2, 100)
         assert list(vals[:8]) == [1, 2, 3, 4, 6, 8, 9, 12]
@@ -225,9 +251,12 @@ class TestTypes:
             HalfPlanePoint(0.5 + 1j, 0.5)
 
     def test_prime_table_contents(self):
-        table = PrimeTable(30)
-        assert list(table.primes) == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
-        assert table.nth(3) == 5
+        from pickzeta.dirichlet import _first_primes, _primes
+        assert list(_primes(30)) == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+        assert list(_primes(1)) == []
+        assert _first_primes(3) == [2, 3, 5]
+        assert _first_primes(0) == []
+        assert _first_primes(5000) == primes_trial(5000)
 
     def test_series_indexing(self):
         series = CoefficientSeries([1.0, 2.0, 3.0])

@@ -93,6 +93,10 @@ class TestCertifyPsd:
         with pytest.raises(ValidationError):
             certify_psd([[1.0, 1.0], [0.0, 1.0]])
 
+    def test_rejects_empty_matrix(self):
+        with pytest.raises(ValidationError):
+            certify_psd(np.zeros((0, 0)))
+
 
 class TestCayley:
     @pytest.mark.parametrize("z,expected", [(1.0, 0.0), (2.0, 1.0 / 3.0), (6.0, 5.0 / 7.0)])
