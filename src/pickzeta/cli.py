@@ -22,8 +22,6 @@ from . import serialize
 from .config import FORMATS, RunConfig, load_config
 from .dirichlet import zeta as zeta_fn
 from .errors import (
-    AccuracyError,
-    DomainError,
     HypothesisError,
     IllConditionedError,
     PickZetaError,
@@ -77,10 +75,6 @@ def parse_m_range(text: str) -> list:
     return [value]
 
 
-def _cert_summary(cert) -> dict:
-    return serialize.encode_certificate(cert)
-
-
 # ---------------------------------------------------------------- commands
 
 
@@ -112,7 +106,7 @@ def cmd_pick_check(args, config: RunConfig):
     warnings = []
 
     cert = pick_certificate(problem)
-    report["pick_certificate"] = _cert_summary(cert)
+    report["pick_certificate"] = serialize.encode_certificate(cert)
     rows.append({"certificate": "pick", "psd": cert.psd,
                  "min_eigenvalue": cert.min_eigenvalue, "margin": cert.margin,
                  "numerical_rank": cert.numerical_rank})
@@ -124,8 +118,8 @@ def cmd_pick_check(args, config: RunConfig):
     if in_upper and in_disc:
         conds = necessary_conditions(problem)
         report["conditions"] = {
-            "cond_i": _cert_summary(conds.cond_i),
-            "cond_ii": _cert_summary(conds.cond_ii),
+            "cond_i": serialize.encode_certificate(conds.cond_i),
+            "cond_ii": serialize.encode_certificate(conds.cond_ii),
             "rank_full": conds.rank_full,
         }
         for name, c in (("cond_i", conds.cond_i), ("cond_ii", conds.cond_ii)):
@@ -142,8 +136,8 @@ def cmd_pick_check(args, config: RunConfig):
     if problem.kernel.kind == SZEGO_HALF_PLANE:
         transfer = cayley_transfer(problem)
         report["cayley_transfer"] = {
-            "half_plane": _cert_summary(transfer.cert_half_plane),
-            "disc": _cert_summary(transfer.cert_disc),
+            "half_plane": serialize.encode_certificate(transfer.cert_half_plane),
+            "disc": serialize.encode_certificate(transfer.cert_disc),
             "factorization_residual": transfer.factorization_residual,
             "psd_match": transfer.psd_match,
             "rank_match": transfer.rank_match,
@@ -189,8 +183,8 @@ def cmd_counterexample(args, config: RunConfig):
             "kernel_det": cert.kernel_det,
             "szego_det": cert.szego_det,
             "det_lower_bound": cert.det_lower_bound,
-            "kernel_certificate": _cert_summary(cert.kernel_cert),
-            "szego_certificate": _cert_summary(cert.szego_cert),
+            "kernel_certificate": serialize.encode_certificate(cert.kernel_cert),
+            "szego_certificate": serialize.encode_certificate(cert.szego_cert),
         })
         rows.append({"power": m, "holds": cert.holds,
                      "kernel_det": cert.kernel_det, "szego_det": cert.szego_det})
@@ -272,7 +266,7 @@ def cmd_realize(args, config: RunConfig):
             "reconstructed": serialize.encode_vector(outcome.reconstructed),
         }
         if outcome.gram_certificate is not None:
-            report["gram_certificate"] = _cert_summary(outcome.gram_certificate)
+            report["gram_certificate"] = serialize.encode_certificate(outcome.gram_certificate)
         rows = [{"passed": outcome.passed, "sigma_max": outcome.sigma_max,
                  "d_contraction_residual": outcome.d_contraction_residual}]
         return (EXIT_OK if outcome.passed else EXIT_CERT), report, rows
@@ -510,20 +504,12 @@ def main(argv=None) -> int:
         code, body, rows = _HANDLERS[args.command](args, config)
         report = build_report(args.command, argv, config, body)
         text = render(report, rows, config.format)
-    except (ValidationError, DomainError, AccuracyError, FileNotFoundError,
-            IsADirectoryError, KeyError, TypeError, ValueError) as exc:
-        error_body = dumps_canonical({"schema": SCHEMA, "error": str(exc),
-                                      "kind": type(exc).__name__})
-        sys.stdout.write(error_body)
-        return EXIT_INPUT
-    except (HypothesisError, TruncationError, IllConditionedError) as exc:
-        error_body = dumps_canonical({"schema": SCHEMA, "error": str(exc),
-                                      "kind": type(exc).__name__})
-        sys.stdout.write(error_body)
-        return EXIT_CERT
-    except PickZetaError as exc:
+    except (PickZetaError, FileNotFoundError, IsADirectoryError, KeyError,
+            TypeError, ValueError) as exc:
         sys.stdout.write(dumps_canonical({"schema": SCHEMA, "error": str(exc),
                                           "kind": type(exc).__name__}))
+        if isinstance(exc, (HypothesisError, TruncationError, IllConditionedError)):
+            return EXIT_CERT
         return EXIT_INPUT
 
     out_path = flag("out")

@@ -26,7 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.linalg
 
 from .dirichlet import CoefficientSeries, zeta, zeta_reciprocal
 from .errors import (
@@ -41,11 +40,28 @@ from .pick import DEFAULT_PSD_TOL, PickCertificate, certify_psd
 
 DEFAULT_ALPHA = 2.0
 QR_DROP_TOL = 1e-12
+DEFECT_ZETA_TOL = 1e-13
+CONTRACTION_TOL = 1e-8
+PSD_SLACK = 1e-2
 
 
-def _inner(x, y):
-    """<x, y> with the second slot conjugated (matches kernel convention)."""
-    return complex(np.vdot(y, x))
+def _powers(s, trunc: int) -> np.ndarray:
+    """The section n^(-s) for n = 1..trunc; array s adds leading axes."""
+    logn = np.log(np.arange(1, trunc + 1, dtype=float))
+    return np.exp(np.multiply.outer(-np.asarray(s), logn))
+
+
+def _factored_norm(left, right) -> float:
+    """Spectral norm of left @ right* from the R factors of both sides."""
+    ra = np.linalg.qr(left, mode="r")
+    rb = np.linalg.qr(right, mode="r")
+    return float(np.linalg.svd(ra @ rb.conj().T, compute_uv=False).max())
+
+
+def _column_residual(got, want) -> float:
+    """max over columns i of |got_i - want_i| / max(1, |want_i|)."""
+    scale = np.maximum(1.0, np.linalg.norm(want, axis=0))
+    return float((np.linalg.norm(got - want, axis=0) / scale).max())
 
 
 def mobius_weights(trunc: int) -> np.ndarray:
@@ -76,9 +92,7 @@ class DirichletMultiplier:
         return self.declared_norm <= 1.0 + 1e-14
 
     def __call__(self, s):
-        s = np.asarray(s, dtype=complex)
-        logn = np.log(np.arange(1, self.coeffs.size + 1, dtype=float))
-        vals = np.exp(-np.multiply.outer(s, logn)) @ self.coeffs
+        vals = _powers(np.asarray(s, dtype=complex), self.coeffs.size) @ self.coeffs
         return vals if vals.shape else complex(vals)
 
     @staticmethod
@@ -88,12 +102,11 @@ class DirichletMultiplier:
         return DirichletMultiplier(coeffs, label or f"{c}*{n}^(-s)")
 
 
-def defect_gram(phi, points, zeta_tol: float = 1e-13,
-                psd_tol: float = DEFAULT_PSD_TOL) -> np.ndarray:
+def defect_gram(phi, points) -> np.ndarray:
     """Gram matrix (1 - phi(s_i) conj(phi(s_j))) zeta(s_i + conj(s_j)).
 
     PSD whenever phi is a contractive multiplier; a minimum eigenvalue
-    below -psd_tol * scale therefore reports a violated hypothesis.
+    below -DEFAULT_PSD_TOL * scale therefore reports a violated hypothesis.
     """
     pts = [complex(p) for p in points]
     for p in pts:
@@ -101,10 +114,10 @@ def defect_gram(phi, points, zeta_tol: float = 1e-13,
             raise DomainError(f"sample point {p} must satisfy Re > 1/2")
     vals = np.array([complex(phi(p)) for p in pts])
     out = hermitian_fill(len(pts), lambda i, j: (1.0 - vals[i] * np.conj(vals[j]))
-                         * zeta(pts[i] + np.conj(pts[j]), zeta_tol))
+                         * zeta(pts[i] + np.conj(pts[j]), DEFECT_ZETA_TOL))
     lo = float(np.linalg.eigvalsh(out)[0])
     scale = max(1.0, float(np.abs(out).max()))
-    if lo < -psd_tol * scale:
+    if lo < -DEFAULT_PSD_TOL * scale:
         raise HypothesisError(
             f"defect Gram has min eigenvalue {lo:.3e}: "
             "phi is not a contractive multiplier on these points"
@@ -158,8 +171,7 @@ class FeatureTransfer:
         self.alpha = complex(alpha)
         self.trunc = int(trunc)
 
-        logn = np.log(np.arange(1, trunc + 1, dtype=float))
-        f = np.exp(-np.conj(point) * logn)
+        f = _powers(np.conj(point), trunc)
         g = mu_sqrt * f
         self.section_norm = float(np.linalg.norm(f))
         self.image_norm = float(np.linalg.norm(g))
@@ -265,51 +277,38 @@ class RealizationModel:
     def d_norm(self) -> float:
         if self.d_left.size == 0:
             return 0.0
-        ra = np.linalg.qr(self.d_left, mode="r")
-        rb = np.linalg.qr(self.d_right, mode="r")
-        return float(np.linalg.svd(ra @ rb.conj().T, compute_uv=False).max())
+        return _factored_norm(self.d_left, self.d_right)
 
     def contraction_sigma(self) -> float:
-        """Largest singular value of the assembled block matrix."""
-        dim = 1 + self.block_dim
-        e0 = np.zeros(dim, dtype=complex)
-        e0[0] = 1.0
-        col0 = np.concatenate(([self.a], self.gamma))
-        left = [col0[:, None], e0[:, None]]
-        right = [e0[:, None], np.concatenate(([0.0], self.beta))[:, None]]
-        if self.d_left.size:
-            left.append(np.vstack([np.zeros((1, self.d_left.shape[1])), self.d_left]))
-            right.append(np.vstack([np.zeros((1, self.d_right.shape[1])), self.d_right]))
-        lbig = np.hstack(left)
-        rbig = np.hstack(right)
-        rl = np.linalg.qr(lbig, mode="r")
-        rr = np.linalg.qr(rbig, mode="r")
-        return float(np.linalg.svd(rl @ rr.conj().T, compute_uv=False).max())
-
-    def transfer_at(self, s: complex) -> FeatureTransfer:
-        """The map used when evaluating at s (built at the conjugate point)."""
-        return FeatureTransfer(np.conj(complex(s)), self.alpha, self.trunc,
-                               self.mu_sqrt)
+        """Largest singular value of the assembled block matrix, written as
+        [a; gamma] e0* + e0 [0; beta]* + [0; d_left] [0; d_right]*."""
+        shape = (1 + self.block_dim, 2 + self.d_left.shape[1])
+        left = np.zeros(shape, dtype=complex)
+        right = np.zeros(shape, dtype=complex)
+        left[0, :2] = self.a, 1.0
+        left[1:, 0] = self.gamma
+        left[1:, 2:] = self.d_left
+        right[0, 0] = 1.0
+        right[1:, 1] = self.beta
+        right[1:, 2:] = self.d_right
+        return _factored_norm(left, right)
 
     def scaled(self, d_scale: float) -> "RealizationModel":
         """Copy with D scaled; used as a negative control in verification."""
         return replace(self, d_left=d_scale * self.d_left)
 
 
-def _lifted_vectors(phi_vals, points, psi, trunc, mu_sqrt):
-    logn = np.log(np.arange(1, trunc + 1, dtype=float))
-    xs, ys = [], []
-    for i, p in enumerate(points):
-        zf = np.exp(-p * logn)
-        mf = mu_sqrt * zf
-        xs.append(np.concatenate(([1.0 + 0j], np.kron(zf, psi[i]))))
-        ys.append(np.concatenate(([phi_vals[i]], np.kron(mf, psi[i]))))
-    return np.stack(xs, axis=1), np.stack(ys, axis=1)
+def _lifted_vectors(points, psi, mu_sqrt):
+    """Second components of the lifts, one column per point:
+    zeta-feature(s_i) (x) psi_i and mobius-feature(s_i) (x) psi_i."""
+    zf = _powers(np.asarray(points, dtype=complex), mu_sqrt.size)
+    x2 = zf[:, :, None] * psi[:, None, :]
+    y2 = (mu_sqrt * zf)[:, :, None] * psi[:, None, :]
+    return x2.reshape(len(psi), -1).T, y2.reshape(len(psi), -1).T
 
 
 def build_realization(phi: DirichletMultiplier, points, trunc: int = 1000,
-                      tol: float = 1e-4, alpha: complex = DEFAULT_ALPHA,
-                      factor_tol: float = DEFAULT_PSD_TOL) -> RealizationModel:
+                      tol: float = 1e-4) -> RealizationModel:
     """Construct the block model of a certified contractive multiplier.
 
     ``tol`` bounds the truncated Gram-identity residual; the default suits
@@ -326,7 +325,7 @@ def build_realization(phi: DirichletMultiplier, points, trunc: int = 1000,
         )
     pts = tuple(complex(p) for p in points)
     gram = defect_gram(phi, pts)
-    psi, rank = psd_factor(gram, factor_tol)
+    psi, rank = psd_factor(gram)
     psi = np.ascontiguousarray(psi)
     mu_sqrt = mobius_weights(trunc)
     phi_vals = np.array([complex(phi(p)) for p in pts])
@@ -343,7 +342,7 @@ def build_realization(phi: DirichletMultiplier, points, trunc: int = 1000,
         }
         dim = 0
         return RealizationModel(
-            points=pts, trunc=trunc, rank=0, alpha=complex(alpha),
+            points=pts, trunc=trunc, rank=0, alpha=complex(DEFAULT_ALPHA),
             psi=psi, a=complex(phi_vals[0]),
             beta=np.zeros(dim, dtype=complex),
             gamma=np.zeros(dim, dtype=complex),
@@ -352,7 +351,10 @@ def build_realization(phi: DirichletMultiplier, points, trunc: int = 1000,
             mu_sqrt=mu_sqrt, certificates=certs, multiplier=phi,
         )
 
-    x, y = _lifted_vectors(phi_vals, pts, psi, trunc, mu_sqrt)
+    x2, y2 = _lifted_vectors(pts, psi, mu_sqrt)
+    x = np.vstack([np.ones(len(pts)), x2])
+    y = np.vstack([phi_vals, y2])
+    del x2, y2  # the stacked copies replace them before the QR
     gram_x = x.conj().T @ x
     gram_y = y.conj().T @ y
     residual = float(np.abs(gram_x - gram_y).max())
@@ -365,13 +367,15 @@ def build_realization(phi: DirichletMultiplier, points, trunc: int = 1000,
             suggested_trunc=int(np.ceil(trunc * growth)),
         )
 
-    q, r_mat, piv = scipy.linalg.qr(x, mode="economic", pivoting=True)
-    diag = np.abs(np.diag(r_mat))
-    if diag.min() <= QR_DROP_TOL * diag.max():
+    q, r_mat = np.linalg.qr(x)
+    # The singular values of R are those of x; any triangular factor has
+    # sigma_min / sigma_max <= min|r_ii| / max|r_ii|.
+    r_svals = np.linalg.svd(r_mat, compute_uv=False)
+    if r_svals[-1] <= QR_DROP_TOL * r_svals[0]:
         raise IllConditionedError(
             "lifted sample vectors are numerically dependent; spread the points"
         )
-    w = np.linalg.solve(r_mat.conj().T, y[:, piv].conj().T).conj().T  # W R = Y_piv
+    w = np.linalg.solve(r_mat.conj().T, y.conj().T).conj().T  # W R = Y
     u_svd, svals, vh_svd = np.linalg.svd(w, full_matrices=False)
     w_iso = u_svd @ vh_svd
     polar_defect = float(np.abs(svals - 1.0).max())
@@ -390,22 +394,16 @@ def build_realization(phi: DirichletMultiplier, points, trunc: int = 1000,
     d_left = np.ascontiguousarray(w_iso[1:])
     d_right = np.ascontiguousarray(q[1:])
 
-    dcon = 0.0
-    for i in range(len(pts)):
-        resid_vec = vx[1:, i] - y[1:, i]
-        scale_i = max(1.0, float(np.linalg.norm(y[1:, i])))
-        dcon = max(dcon, float(np.linalg.norm(resid_vec)) / scale_i)
-
     certs = {
         "gram_identity_residual": residual,
         "isometry_defect": iso_defect,
         "sigma_max": 1.0,
-        "d_contraction_residual": dcon,
+        "d_contraction_residual": _column_residual(vx[1:], y[1:]),
         "polar_defect": polar_defect,
         "d_norm": 0.0,
     }
     model = RealizationModel(
-        points=pts, trunc=trunc, rank=rank, alpha=complex(alpha), psi=psi,
+        points=pts, trunc=trunc, rank=rank, alpha=complex(DEFAULT_ALPHA), psi=psi,
         a=a, beta=beta, gamma=gamma, d_left=d_left, d_right=d_right,
         mu_sqrt=mu_sqrt, certificates=certs, multiplier=phi,
     )
@@ -414,8 +412,7 @@ def build_realization(phi: DirichletMultiplier, points, trunc: int = 1000,
     return model
 
 
-def evaluate_realization(model: RealizationModel, s,
-                         transfer: FeatureTransfer | None = None) -> complex:
+def evaluate_realization(model: RealizationModel, s) -> complex:
     """Evaluate a + <(T (x) I - D)^(-1) gamma, beta> at a point of Re > 1/2.
 
     The linear system is solved through the transfer map's structure and
@@ -427,9 +424,8 @@ def evaluate_realization(model: RealizationModel, s,
         raise DomainError(f"evaluation point {s} must satisfy Re > 1/2")
     if model.rank == 0 or not np.linalg.norm(model.gamma):
         return model.a
-    t = transfer or model.transfer_at(s)
-    if t.trunc != model.trunc:
-        raise ValidationError("transfer truncation differs from the model")
+    # T is built at the conjugate point.
+    t = FeatureTransfer(np.conj(s), model.alpha, model.trunc, model.mu_sqrt)
     # Recompute |D| rather than trusting the stored certificate: the model
     # may have been perturbed since construction.
     neumann = t.inverse_norm * model.d_norm()
@@ -437,16 +433,14 @@ def evaluate_realization(model: RealizationModel, s,
         raise HypothesisError(
             f"invertibility certificate failed: |T^-1| |D| = {neumann:.6f} >= 1"
         )
-    n, r = model.trunc, model.rank
-    z0 = t.apply_inverse(model.gamma.reshape(n, r)).reshape(-1)
-    k = model.d_left.shape[1]
-    ga = np.empty((n * r, k), dtype=complex)
-    for j in range(k):
-        ga[:, j] = t.apply_inverse(model.d_left[:, j].reshape(n, r)).reshape(-1)
-    small = np.eye(k, dtype=complex) - model.d_right.conj().T @ ga
-    u = np.linalg.solve(small, model.d_right.conj().T @ z0)
-    z = z0 + ga @ u
-    return model.a + _inner(z, model.beta)
+    # One T^-1 pass over [gamma | d_left]: row n*r + j of the block holds
+    # coordinate j of feature n, so T acts on the leading axis of (n, r, cols).
+    cols = np.column_stack([model.gamma, model.d_left])
+    tz = t.apply_inverse(cols.reshape(model.trunc, -1)).reshape(cols.shape)
+    proj = model.d_right.conj().T @ tz
+    u = np.linalg.solve(np.eye(proj.shape[0]) - proj[:, 1:], proj[:, 0])
+    z = tz[:, 0] + tz[:, 1:] @ u
+    return model.a + complex(np.vdot(model.beta, z))
 
 
 @dataclass(frozen=True)
@@ -470,40 +464,29 @@ class VerificationReport:
         return self.contraction_ok and self.d_contraction_ok and self.psd_ok
 
 
-def verify_realization(model: RealizationModel, grid=None,
-                       contraction_tol: float = 1e-8,
-                       d_contraction_tol: float | None = None,
-                       psd_slack: float = 1e-2) -> VerificationReport:
+def verify_realization(model: RealizationModel, grid=None) -> VerificationReport:
     """Certify that a model represents a contractive multiplier.
 
-    The block-equation tolerance defaults to ten times the Gram-identity
-    residual recorded at construction (floor 1e-6), matching how both
-    quantities shrink with the truncation.  psd_slack absorbs
-    reconstruction error when testing positivity of (1 - phi phi*) zeta on
-    the grid; it is configuration, reported next to the verdict.  A model
-    whose D block was tampered with fails the contraction check outright
-    and typically also the resolvent certificate.
+    The block-equation tolerance is ten times the Gram-identity residual
+    recorded at construction (floor 1e-6), matching how both quantities
+    shrink with the truncation.  A model whose D block was tampered with
+    fails the contraction check outright and typically also the resolvent
+    certificate.
     """
-    if d_contraction_tol is None:
-        recorded = float(model.certificates.get("gram_identity_residual", 0.0))
-        d_contraction_tol = max(1e-6, 10.0 * recorded)
+    recorded = float(model.certificates.get("gram_identity_residual", 0.0))
+    dcon_tol = max(1e-6, 10.0 * recorded)
     grid = tuple(complex(g) for g in (grid if grid is not None else model.points))
     sigma_max = model.contraction_sigma()
-    contraction_ok = sigma_max <= 1.0 + contraction_tol
+    contraction_ok = sigma_max <= 1.0 + CONTRACTION_TOL
 
     dcon = 0.0
     if model.rank > 0:
-        # The block equation D(zeta-feature (x) psi) = mobius-feature (x) psi
-        # - gamma involves only the second components; no multiplier needed.
-        logn = np.log(np.arange(1, model.trunc + 1, dtype=float))
-        for i, p in enumerate(model.points):
-            zf = np.exp(-p * logn)
-            x2 = np.kron(zf, model.psi[i])
-            y2 = np.kron(model.mu_sqrt * zf, model.psi[i])
-            dx = model.d_left @ (model.d_right.conj().T @ x2)
-            scale = max(1.0, float(np.linalg.norm(y2)))
-            dcon = max(dcon, float(np.linalg.norm(dx - (y2 - model.gamma))) / scale)
-    d_ok = dcon <= d_contraction_tol
+        # The block equation gamma + D(zeta-feature (x) psi) = mobius-feature
+        # (x) psi involves only the second components; no multiplier needed.
+        x2, y2 = _lifted_vectors(model.points, model.psi, model.mu_sqrt)
+        dx = model.d_left @ (model.d_right.conj().T @ x2)
+        dcon = _column_residual(dx + model.gamma[:, None], y2)
+    d_ok = dcon <= dcon_tol
 
     values = np.zeros(len(grid), dtype=complex)
     evaluation_error = None
@@ -515,8 +498,8 @@ def verify_realization(model: RealizationModel, grid=None,
         gram = hermitian_fill(len(grid), lambda i, j: (1.0 - values[i] * np.conj(values[j]))
                               * zeta(grid[i] + np.conj(grid[j])))
         scale = max(1.0, float(np.abs(gram).max()))
-        gram_cert = certify_psd(gram, psd_tol=psd_slack, rank_tol=1e-8)
-        psd_ok = gram_cert.min_eigenvalue >= -psd_slack * scale
+        gram_cert = certify_psd(gram, psd_tol=PSD_SLACK, rank_tol=1e-8)
+        psd_ok = gram_cert.min_eigenvalue >= -PSD_SLACK * scale
     except (HypothesisError, DomainError) as exc:
         evaluation_error = str(exc)
 

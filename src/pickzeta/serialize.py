@@ -198,19 +198,32 @@ def decode_model(data) -> RealizationModel:
     trunc = int(data["trunc"])
     rank = int(data["rank"])
     dim = trunc * rank
+    points = tuple(decode_vector(data["points"]))
     psi = decode_matrix(data["psi"]) if data.get("psi") else np.zeros((0, 0), complex)
+    beta = decode_vector(data["beta"])
+    gamma = decode_vector(data["gamma"])
     d_left = decode_matrix(data["d_left"]) if data.get("d_left") else np.zeros((dim, 0), complex)
     d_right = decode_matrix(data["d_right"]) if data.get("d_right") else np.zeros((dim, 0), complex)
+    cols = d_left.shape[-1]
+    expected = {"beta": (beta, (dim,)), "gamma": (gamma, (dim,)),
+                "d_left": (d_left, (dim, cols)), "d_right": (d_right, (dim, cols))}
+    if rank > 0:
+        expected["psi"] = (psi, (len(points), rank))
+    for name, (arr, shape) in expected.items():
+        if arr.shape != shape:
+            raise ValidationError(
+                f"model field {name!r} has shape {arr.shape}, expected {shape} "
+                f"for {len(points)} points, trunc {trunc}, rank {rank}")
     mult = decode_multiplier(data["multiplier"]) if data.get("multiplier") else None
     return RealizationModel(
-        points=tuple(decode_vector(data["points"])),
+        points=points,
         trunc=trunc,
         rank=rank,
         alpha=decode_complex(data["alpha"]),
         psi=psi,
         a=decode_complex(data["a"]),
-        beta=decode_vector(data["beta"]),
-        gamma=decode_vector(data["gamma"]),
+        beta=beta,
+        gamma=gamma,
         d_left=d_left,
         d_right=d_right,
         mu_sqrt=mobius_weights(trunc),

@@ -123,3 +123,11 @@ def halfplane_szego_pick(nodes, targets) -> np.ndarray:
     z = np.asarray(nodes, dtype=complex)
     w = np.asarray(targets, dtype=complex)
     return (1.0 - np.outer(w, w.conj())) / (z[:, None] + z.conj()[None, :])
+
+
+def dense_block_norm(model) -> tuple:
+    """(|D|_2, |[[a, beta*], [gamma, D]]|_2) from the assembled dense blocks."""
+    d = model.d_left @ model.d_right.conj().T
+    block = np.block([[np.array([[model.a]]), model.beta.conj()[None, :]],
+                      [model.gamma[:, None], d]])
+    return np.linalg.norm(d, 2), np.linalg.norm(block, 2)

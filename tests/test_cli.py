@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import pickzeta
 from pickzeta.cli import main, parse_complex, parse_m_range
 from pickzeta.serialize import (
     decode_model,
@@ -251,6 +255,29 @@ class TestRealizeCommand:
         assert code == 1
         assert json.loads(out)["passed"] is False
 
+    WRONG_SHAPES = {
+        "psi": lambda data: data["psi"][:2],
+        "beta": lambda data: data["beta"][:-1],
+        "gamma": lambda data: data["gamma"] + data["gamma"][:1],
+        "d_left": lambda data: data["d_left"][1:],
+        "d_right": lambda data: [row[:-1] for row in data["d_right"]],
+        "trunc": lambda data: data["trunc"] + 1,
+        "rank": lambda data: data["rank"] - 1,
+    }
+
+    @pytest.mark.parametrize("field", WRONG_SHAPES)
+    def test_verify_wrong_shapes_exit_2(self, capsys, tmp_path, phi_file, field):
+        model_path = tmp_path / "model.json"
+        run_cli(capsys, "realize", "--phi", phi_file,
+                "--points", "1.05,1.4+0.3i,1.9-0.25i,2.6", "--trunc", "64",
+                "--build-tol", "1", "--model-out", str(model_path))
+        data = json.loads(model_path.read_text())
+        data[field] = self.WRONG_SHAPES[field](data)
+        model_path.write_text(json.dumps(data))
+        code, out = run_cli(capsys, "realize", "--verify", str(model_path))
+        assert code == 2
+        assert json.loads(out)["kind"] == "ValidationError"
+
 
 class TestSearchDirichletCommand:
     def test_report(self, capsys, independence_problem):
@@ -304,6 +331,15 @@ class TestConfig:
         assert code == 0
         assert sorted(json.loads(out)["config"]) == [
             "format", "psd_tol", "rank_tol", "trunc", "zeta_abs_err"]
+
+
+def test_cli_import_does_not_load_scipy():
+    src = os.path.dirname(os.path.dirname(pickzeta.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    code = "import sys, pickzeta.cli; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True).stdout
+    assert out.strip() == "False"
 
 
 class TestModelFileDeterminism:

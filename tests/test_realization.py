@@ -19,7 +19,7 @@ from pickzeta import (
     zeta_reciprocal,
 )
 
-from oracles import random_psd
+from oracles import dense_block_norm, random_psd
 
 POINTS = [1.05, 1.4 + 0.3j, 1.9 - 0.25j, 2.6]
 
@@ -191,6 +191,14 @@ class TestBuildRealization:
         assert certs["sigma_max"] <= 1.0 + 1e-8
         assert certs["d_contraction_residual"] < 5e-5
         assert certs["d_norm"] <= 1.0 + 1e-10
+
+    @pytest.mark.parametrize("d_scale", [1.0, 1.5])
+    def test_factored_norms_match_dense_blocks(self, d_scale):
+        phi = DirichletMultiplier.monomial(0.5)
+        model = build_realization(phi, POINTS, trunc=32, tol=1.0).scaled(d_scale)
+        d_norm, sigma = dense_block_norm(model)
+        assert model.d_norm() == pytest.approx(d_norm, rel=1e-12)
+        assert model.contraction_sigma() == pytest.approx(sigma, rel=1e-12)
 
     def test_gram_identity_residual_shrinks_with_truncation(self):
         phi = DirichletMultiplier.monomial(0.3)
