@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import asdict, dataclass, replace
 
@@ -23,8 +24,9 @@ class RunConfig:
 
     def __post_init__(self):
         for name in ("zeta_abs_err", "psd_tol", "rank_tol"):
-            if getattr(self, name) <= 0:
-                raise ValidationError(f"{name} must be positive")
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValidationError(f"{name} must be finite and positive; got {value}")
         if self.trunc < 10:
             raise ValidationError("trunc must be at least 10")
         if self.format not in FORMATS:

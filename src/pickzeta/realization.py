@@ -254,6 +254,12 @@ class RealizationModel:
     D is stored in factored form d_left @ d_right*; both factors have at
     most as many columns as sample points, which keeps models with large
     feature truncations tractable.
+
+    The array blocks are made read-only (not copied) on construction, so
+    d_norm() and contraction_sigma() compute each norm from the blocks once
+    per instance and keep it.  They never read ``certificates``: a model
+    decoded from a file, or derived through scaled() or replace(), is a new
+    instance and computes its norms again from its own blocks.
     """
 
     points: tuple
@@ -270,18 +276,29 @@ class RealizationModel:
     certificates: dict
     multiplier: DirichletMultiplier | None = None
 
+    def __post_init__(self):
+        for name in ("psi", "beta", "gamma", "d_left", "d_right", "mu_sqrt"):
+            getattr(self, name).flags.writeable = False
+
     @property
     def block_dim(self) -> int:
         return self.trunc * self.rank
 
+    # Each norm is kept in the instance __dict__ under a name that is not a
+    # dataclass field, so replace() and scaled() start without it.
     def d_norm(self) -> float:
-        if self.d_left.size == 0:
-            return 0.0
-        return _factored_norm(self.d_left, self.d_right)
+        """Spectral norm of D, computed on the first call only."""
+        if "_d_norm" not in self.__dict__:
+            norm = _factored_norm(self.d_left, self.d_right) if self.d_left.size else 0.0
+            object.__setattr__(self, "_d_norm", norm)
+        return self.__dict__["_d_norm"]
 
     def contraction_sigma(self) -> float:
         """Largest singular value of the assembled block matrix, written as
-        [a; gamma] e0* + e0 [0; beta]* + [0; d_left] [0; d_right]*."""
+        [a; gamma] e0* + e0 [0; beta]* + [0; d_left] [0; d_right]*;
+        computed on the first call only."""
+        if "_sigma" in self.__dict__:
+            return self.__dict__["_sigma"]
         shape = (1 + self.block_dim, 2 + self.d_left.shape[1])
         left = np.zeros(shape, dtype=complex)
         right = np.zeros(shape, dtype=complex)
@@ -291,7 +308,8 @@ class RealizationModel:
         right[0, 0] = 1.0
         right[1:, 1] = self.beta
         right[1:, 2:] = self.d_right
-        return _factored_norm(left, right)
+        object.__setattr__(self, "_sigma", _factored_norm(left, right))
+        return self.__dict__["_sigma"]
 
     def scaled(self, d_scale: float) -> "RealizationModel":
         """Copy with D scaled; used as a negative control in verification."""
@@ -318,6 +336,8 @@ def build_realization(phi: DirichletMultiplier, points, trunc: int = 1000,
     IllConditionedError when the lifted sample vectors are numerically
     dependent.
     """
+    if not 0.0 < tol < np.inf:
+        raise ValidationError(f"build tolerance must be finite and positive; got {tol}")
     if not phi.certified:
         raise HypothesisError(
             f"multiplier has coefficient sum {phi.declared_norm:.6f} > 1: "
@@ -426,8 +446,8 @@ def evaluate_realization(model: RealizationModel, s) -> complex:
         return model.a
     # T is built at the conjugate point.
     t = FeatureTransfer(np.conj(s), model.alpha, model.trunc, model.mu_sqrt)
-    # Recompute |D| rather than trusting the stored certificate: the model
-    # may have been perturbed since construction.
+    # |D| comes from the model's read-only blocks, computed once per
+    # instance; the stored certificates are never trusted.
     neumann = t.inverse_norm * model.d_norm()
     if not neumann < 1.0:
         raise HypothesisError(

@@ -521,8 +521,10 @@ def search_dirichlet_solution(problem: InterpolationProblem, h_family,
     Pick condition strictly (the parametrization hypothesis); the zeta-side
     condition is reported but not required.
     """
-    if sigma0 <= 0.5:
+    if not sigma0 > 0.5:
         raise DomainError("sampling line must satisfy sigma0 > 1/2")
+    if trunc < 1:
+        raise ValidationError("fit truncation must be at least 1")
     conds = necessary_conditions(problem)
     if not (conds.cond_ii.psd and conds.rank_full):
         raise HypothesisError(

@@ -278,6 +278,15 @@ class TestRealizeCommand:
         assert code == 2
         assert json.loads(out)["kind"] == "ValidationError"
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
+    def test_bad_build_tol_exit_2(self, capsys, tmp_path, phi_file, tol):
+        code, out = run_cli(capsys, "realize", "--phi", phi_file,
+                            "--points", "1.05,1.4", "--trunc", "10",
+                            "--build-tol", tol, "--model-out", str(tmp_path / "m.json"))
+        assert code == 2
+        assert json.loads(out)["kind"] == "ValidationError"
+        assert not (tmp_path / "m.json").exists()
+
 
 class TestSearchDirichletCommand:
     def test_report(self, capsys, independence_problem):
@@ -292,6 +301,16 @@ class TestSearchDirichletCommand:
     def test_failed_hypothesis_exit_1(self, capsys, witness_problem):
         code, out = run_cli(capsys, "search-dirichlet", witness_problem, "--h", "0")
         assert code == 1
+
+    @pytest.mark.parametrize("flags, kind", [
+        (("--sigma0", "nan"), "DomainError"),
+        (("--fit-trunc", "0"), "ValidationError"),
+        (("--fit-trunc", "-3"), "ValidationError"),
+    ])
+    def test_bad_flags_exit_2(self, capsys, independence_problem, flags, kind):
+        code, out = run_cli(capsys, "search-dirichlet", independence_problem, *flags)
+        assert code == 2
+        assert json.loads(out)["kind"] == kind
 
 
 class TestConfig:
@@ -321,6 +340,24 @@ class TestConfig:
         code, out = run_cli(capsys, "--config", str(cfg), "zeta", "--s", "2")
         assert code == 2
         assert key in json.loads(out)["error"]
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_nonfinite_tol_flag_exit_2(self, capsys, witness_problem, value):
+        code, out = run_cli(capsys, "--format", "csv", "--tol", value,
+                            "pick-check", witness_problem)
+        assert code == 2
+        assert json.loads(out)["kind"] == "ValidationError"
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("key", ["zeta_abs_err", "psd_tol", "rank_tol"])
+    def test_nonfinite_config_tol_exit_2(self, capsys, tmp_path, key, value):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: value}))
+        code, out = run_cli(capsys, "--config", str(cfg), "zeta", "--s", "2")
+        assert code == 2
+        error = json.loads(out)
+        assert error["kind"] == "ValidationError"
+        assert key in error["error"]
 
     def test_seed_flag_is_rejected(self, capsys):
         code, _ = run_cli(capsys, "--seed", "3", "zeta", "--s", "2")

@@ -19,6 +19,9 @@ from pickzeta import (
     zeta_reciprocal,
 )
 
+from pickzeta import realization
+from pickzeta.serialize import decode_model, encode_model
+
 from oracles import dense_block_norm, random_psd
 
 POINTS = [1.05, 1.4 + 0.3j, 1.9 - 0.25j, 2.6]
@@ -263,3 +266,56 @@ class TestVerification:
         # phi = 1 gives the zero defect Gram: PSD trivially.
         assert report.passed
         assert np.abs(report.reconstructed - 1.0).max() < 1e-12
+
+
+DERIVED = {
+    "built": lambda model: model,
+    "scaled": lambda model: model.scaled(1.5),
+    "decoded": lambda model: decode_model(encode_model(model)),
+}
+
+
+class TestComputedOnce:
+    """The two block norms are computed once per model instance."""
+
+    @pytest.fixture()
+    def counted(self, monkeypatch):
+        calls = []
+        original = realization._factored_norm
+
+        def counting(left, right):
+            calls.append(None)
+            return original(left, right)
+
+        monkeypatch.setattr(realization, "_factored_norm", counting)
+        return calls
+
+    @staticmethod
+    def _model():
+        return build_realization(DirichletMultiplier.monomial(0.5), POINTS, trunc=32, tol=1.0)
+
+    def test_build_computes_both_norms_for_later_calls(self, counted):
+        model = self._model()
+        assert len(counted) == 2
+        for p in (1.1, 1.3, 1.7 + 0.2j, 2.1, 2.9):
+            evaluate_realization(model, p)
+        verify_realization(model)
+        assert len(counted) == 2
+
+    @pytest.mark.parametrize("derive", ["scaled", "decoded"])
+    def test_derived_model_computes_again(self, counted, derive):
+        model = DERIVED[derive](self._model())
+        before = len(counted)
+        d_norm, sigma = dense_block_norm(model)
+        for _ in range(2):
+            assert model.d_norm() == pytest.approx(d_norm, rel=1e-12)
+            assert model.contraction_sigma() == pytest.approx(sigma, rel=1e-12)
+        assert len(counted) == before + 2
+
+    @pytest.mark.parametrize("derive", DERIVED)
+    def test_blocks_are_read_only(self, derive):
+        model = DERIVED[derive](self._model())
+        for name in ("psi", "beta", "gamma", "d_left", "d_right", "mu_sqrt"):
+            block = getattr(model, name)
+            with pytest.raises(ValueError):
+                block[(0,) * block.ndim] = 0
