@@ -207,7 +207,14 @@ def _parse_kernel_flag(kind: str, power: int) -> KernelSpec:
 
 def cmd_solve(args, config: RunConfig):
     if args.evaluate:
-        solution = serialize.decode_solution(load_json(args.evaluate))
+        data = load_json(args.evaluate)
+        if isinstance(data, dict) and "feasible" in data:
+            # A whole `solve --out` report: evaluate the solution it holds.
+            if data["feasible"] is not True:
+                raise ValidationError(
+                    f"{args.evaluate}: a report of an infeasible problem holds no solution")
+            data = data.get("solution")
+        solution = serialize.decode_solution(data)
         points = parse_complex_list(args.at)
         values = [solution(p) for p in points]
         rows = [{"point_re": p.real, "point_im": p.imag,

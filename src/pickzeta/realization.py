@@ -58,6 +58,18 @@ def _factored_norm(left, right) -> float:
     return float(np.linalg.svd(ra @ rb.conj().T, compute_uv=False).max())
 
 
+def _block_gram(beta, d_right, gamma, d_left) -> np.ndarray:
+    """[beta | d_right]* [gamma | d_left] from four products, so no N-row
+    block is stacked."""
+    k = d_left.shape[1]
+    out = np.empty((1 + k, 1 + k), dtype=complex)
+    out[0, 0] = np.vdot(beta, gamma)
+    out[0, 1:] = beta.conj() @ d_left
+    out[1:, 0] = d_right.conj().T @ gamma
+    out[1:, 1:] = d_right.conj().T @ d_left
+    return out
+
+
 def _column_residual(got, want) -> float:
     """max over columns i of |got_i - want_i| / max(1, |want_i|)."""
     scale = np.maximum(1.0, np.linalg.norm(want, axis=0))
@@ -211,24 +223,42 @@ class FeatureTransfer:
     def inverse_norm_bound(self) -> float:
         return max(self.eps_tilde, 1.0 / abs(self.alpha))
 
-    def _reflect_f(self, mat):
-        return mat - np.outer(self._vf, self._vf_scale * (np.conj(self._vf) @ mat))
-
-    def _reflect_g(self, mat):
-        return mat - np.outer(self._vg, self._vg_scale * (np.conj(self._vg) @ mat))
-
     def apply(self, mat: np.ndarray) -> np.ndarray:
-        """T applied columnwise to an (N, r) block."""
-        out = self._reflect_f(np.asarray(mat, dtype=complex))
+        """T applied columnwise to an (N, r) block, reflection by reflection."""
+        mat = np.asarray(mat, dtype=complex)
+        out = mat - np.outer(self._vf, self._vf_scale * (np.conj(self._vf) @ mat))
         out[0] *= self.d1
         out[1:] *= self.alpha
-        return self._reflect_g(out)
+        return out - np.outer(self._vg, self._vg_scale * (np.conj(self._vg) @ out))
+
+    def inverse_factors(self):
+        """(U, C, V) with T^(-1) = I / alpha + U C V*, U and V of shape (N, 3).
+
+        T^(-1) = H_f diag(1/d1, 1/alpha, ...) H_g.  The 1/alpha identity part
+        passes through H_f H_g as I - c_f v_f v_f* - c_g v_g v_g*
+        + c_f c_g (v_f* v_g) v_f v_g*, and the first coordinate adds
+        (1/d1 - 1/alpha) (H_f e0) (H_g e0)*; so U = [v_f, v_g, H_f e0] and
+        V = [v_f, v_g, H_g e0].
+        """
+        cf, cg, alpha = self._vf_scale, self._vg_scale, self.alpha
+        hf_e0 = -cf * np.conj(self._vf[0]) * self._vf
+        hf_e0[0] += 1.0
+        hg_e0 = -cg * np.conj(self._vg[0]) * self._vg
+        hg_e0[0] += 1.0
+        c = np.zeros((3, 3), dtype=complex)
+        c[0, 0] = -cf / alpha
+        c[1, 1] = -cg / alpha
+        c[0, 1] = cf * cg * np.vdot(self._vf, self._vg) / alpha
+        c[2, 2] = 1.0 / self.d1 - 1.0 / alpha
+        # Row-stacked, so U* and V* are C-contiguous for the block products.
+        return (np.stack([self._vf, self._vg, hf_e0]).T, c,
+                np.stack([self._vf, self._vg, hg_e0]).T)
 
     def apply_inverse(self, mat: np.ndarray) -> np.ndarray:
-        out = self._reflect_g(np.asarray(mat, dtype=complex))
-        out[0] /= self.d1
-        out[1:] /= self.alpha
-        return self._reflect_f(out)
+        """T^(-1) applied columnwise to an (N, r) block, in its rank-3 form."""
+        mat = np.asarray(mat, dtype=complex)
+        u, c, v = self.inverse_factors()
+        return mat / self.alpha + u @ (c @ (v.conj().T @ mat))
 
     def section(self) -> np.ndarray:
         return self._f.copy()
@@ -256,10 +286,11 @@ class RealizationModel:
     feature truncations tractable.
 
     The array blocks are made read-only (not copied) on construction, so
-    d_norm() and contraction_sigma() compute each norm from the blocks once
-    per instance and keep it.  They never read ``certificates``: a model
-    decoded from a file, or derived through scaled() or replace(), is a new
-    instance and computes its norms again from its own blocks.
+    d_norm(), contraction_sigma() and block_gram() compute their values from
+    the blocks once per instance and keep them.  They never read
+    ``certificates``: a model decoded from a file, or derived through
+    scaled() or replace(), is a new instance and computes them again from
+    its own blocks.
     """
 
     points: tuple
@@ -310,6 +341,14 @@ class RealizationModel:
         right[1:, 2:] = self.d_right
         object.__setattr__(self, "_sigma", _factored_norm(left, right))
         return self.__dict__["_sigma"]
+
+    def block_gram(self) -> np.ndarray:
+        """K = [beta | d_right]* [gamma | d_left], the point-independent part
+        of every evaluation; computed on the first call only."""
+        if "_block_gram" not in self.__dict__:
+            object.__setattr__(self, "_block_gram", _block_gram(
+                self.beta, self.d_right, self.gamma, self.d_left))
+        return self.__dict__["_block_gram"]
 
     def scaled(self, d_scale: float) -> "RealizationModel":
         """Copy with D scaled; used as a negative control in verification."""
@@ -398,6 +437,7 @@ def build_realization(phi: DirichletMultiplier, points, trunc: int = 1000,
     w = np.linalg.solve(r_mat.conj().T, y.conj().T).conj().T  # W R = Y
     u_svd, svals, vh_svd = np.linalg.svd(w, full_matrices=False)
     w_iso = u_svd @ vh_svd
+    del w, u_svd  # two more N-row arrays; only w_iso is needed from here
     polar_defect = float(np.abs(svals - 1.0).max())
 
     coords = q.conj().T @ x
@@ -435,9 +475,17 @@ def build_realization(phi: DirichletMultiplier, points, trunc: int = 1000,
 def evaluate_realization(model: RealizationModel, s) -> complex:
     """Evaluate a + <(T (x) I - D)^(-1) gamma, beta> at a point of Re > 1/2.
 
-    The linear system is solved through the transfer map's structure and
-    the factored D (Woodbury identity); the inverse is never formed.  The
-    Neumann certificate |T^(-1)| |D| < 1 is checked before solving.
+    With T^(-1) = I / alpha + U C V* (rank 3, FeatureTransfer.inverse_factors)
+    and D = d_left d_right*, the Woodbury identity reduces the resolvent to
+    the (1 + k) x (1 + k) matrix
+
+        G = [beta | d_right]* (T^(-1) (x) I) [gamma | d_left]
+          = K / alpha + sum_ab C_ab (U_a* [beta | d_right])* (V_b* [gamma | d_left]),
+
+    where K = model.block_gram() does not depend on s and is computed once
+    per model.  Each point then makes one pass over the four blocks, with
+    three rows each; the inverse is never formed.  The Neumann certificate
+    |T^(-1)| |D| < 1 is checked before any of that work.
     """
     s = complex(s)
     if not s.real > 0.5:
@@ -453,14 +501,23 @@ def evaluate_realization(model: RealizationModel, s) -> complex:
         raise HypothesisError(
             f"invertibility certificate failed: |T^-1| |D| = {neumann:.6f} >= 1"
         )
-    # One T^-1 pass over [gamma | d_left]: row n*r + j of the block holds
-    # coordinate j of feature n, so T acts on the leading axis of (n, r, cols).
-    cols = np.column_stack([model.gamma, model.d_left])
-    tz = t.apply_inverse(cols.reshape(model.trunc, -1)).reshape(cols.shape)
-    proj = model.d_right.conj().T @ tz
-    u = np.linalg.solve(np.eye(proj.shape[0]) - proj[:, 1:], proj[:, 0])
-    z = tz[:, 0] + tz[:, 1:] @ u
-    return model.a + complex(np.vdot(model.beta, z))
+    u, c, v = t.inverse_factors()
+    n, r, k = model.trunc, model.rank, model.d_left.shape[1]
+
+    def contract(rows, vec, block):
+        # Row n*r + j of a block holds coordinate j of feature n, so
+        # rows (x) I contracts the leading axis of the (trunc, r * cols)
+        # views; the result is (3, r, 1 + k).
+        out = np.empty((3, r, 1 + k), dtype=complex)
+        out[:, :, 0] = rows @ vec.reshape(n, r)
+        out[:, :, 1:] = (rows @ block.reshape(n, r * k)).reshape(3, r, k)
+        return out
+
+    left = contract(u.conj().T, model.beta, model.d_right)
+    right = contract(v.conj().T, model.gamma, model.d_left)
+    g = model.block_gram() / model.alpha + np.einsum("ajx,ab,bjy->xy", left.conj(), c, right)
+    w = np.linalg.solve(np.eye(k) - g[1:, 1:], g[1:, 0])
+    return model.a + complex(g[0, 0] + g[0, 1:] @ w)
 
 
 @dataclass(frozen=True)

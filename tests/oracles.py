@@ -131,3 +131,32 @@ def dense_block_norm(model) -> tuple:
     block = np.block([[np.array([[model.a]]), model.beta.conj()[None, :]],
                       [model.gamma[:, None], d]])
     return np.linalg.norm(d, 2), np.linalg.norm(block, 2)
+
+
+def _householder(x):
+    """(H, p): the reflection I - 2 v v* / |v|^2 with v = x/|x| + p e0 and
+    p = x_0 / |x_0|, which sends x/|x| to -p e0."""
+    xh = x / np.linalg.norm(x)
+    phase = xh[0] / abs(xh[0])
+    v = xh.copy()
+    v[0] += phase
+    return np.eye(x.size) - 2.0 * np.outer(v, v.conj()) / np.vdot(v, v).real, phase
+
+
+def dense_resolvent_value(model, s) -> complex:
+    """a + <(T (x) I_r - d_left d_right*)^(-1) gamma, beta> by one dense solve.
+
+    T = H_g diag(d1, alpha, ..., alpha) H_f is assembled from explicit
+    Householder matrices of the sections f = n^(-s) and g = sqrt(1 + mu) f,
+    with d1 = (|g| / |f|) conj(p_f) p_g, so that T f = g.
+    """
+    n = np.arange(1, model.trunc + 1, dtype=float)
+    f = np.exp(-complex(s) * np.log(n))
+    g = model.mu_sqrt * f
+    hf, pf = _householder(f)
+    hg, pg = _householder(g)
+    lam = np.full(model.trunc, complex(model.alpha))
+    lam[0] = np.linalg.norm(g) / np.linalg.norm(f) * np.conj(pf) * pg
+    t = hg @ np.diag(lam) @ hf
+    m = np.kron(t, np.eye(model.rank)) - model.d_left @ model.d_right.conj().T
+    return complex(model.a + np.vdot(model.beta, np.linalg.solve(m, model.gamma)))

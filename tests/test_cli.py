@@ -205,6 +205,31 @@ class TestSolveCommand:
         evals = json.loads(out)["evaluations"]
         assert evals[1]["value"][0] == pytest.approx(1.0 / np.sqrt(2.0), abs=1e-8)
 
+    def test_evaluate_report_roundtrip(self, capsys, tmp_path, independence_problem):
+        # `solve --out` writes the whole report; --evaluate takes it as is
+        # and gives what the bare solution object gives.
+        report_path = tmp_path / "report.json"
+        run_cli(capsys, "solve", independence_problem, "--out", str(report_path))
+        sol_path = tmp_path / "sol.json"
+        sol_path.write_text(dumps_canonical(json.loads(report_path.read_text())["solution"]))
+        results = {}
+        for path in (report_path, sol_path):
+            code, out = run_cli(capsys, "solve", "--evaluate", str(path), "--at", "3+1i,6")
+            assert code == 0
+            results[path] = json.loads(out)
+            assert results[path].pop("argv")[2] == str(path)
+        assert results[report_path] == results[sol_path]
+        value = results[report_path]["evaluations"][1]["value"]
+        assert value[0] == pytest.approx(1.0 / np.sqrt(2.0), abs=1e-8)
+
+    def test_evaluate_infeasible_report_exit_2(self, capsys, tmp_path, witness_problem):
+        report_path = tmp_path / "report.json"
+        code, _ = run_cli(capsys, "solve", witness_problem, "--out", str(report_path))
+        assert code == 1
+        code, out = run_cli(capsys, "solve", "--evaluate", str(report_path), "--at", "2")
+        assert code == 2
+        assert "infeasible" in json.loads(out)["error"]
+
     def test_solve_without_input_exit_2(self, capsys):
         code, _ = run_cli(capsys, "solve")
         assert code == 2

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -22,7 +24,7 @@ from pickzeta import (
 from pickzeta import realization
 from pickzeta.serialize import decode_model, encode_model
 
-from oracles import dense_block_norm, random_psd
+from oracles import dense_block_norm, dense_resolvent_value, random_psd
 
 POINTS = [1.05, 1.4 + 0.3j, 1.9 - 0.25j, 2.6]
 
@@ -123,6 +125,18 @@ class TestFeatureTransfer:
         assert 1.0 / sv[0] == pytest.approx(t.inverse_norm, abs=1e-12)
         inv = t.apply_inverse(np.eye(40, dtype=complex))
         assert np.abs(inv @ m - np.eye(40)).max() < 1e-12
+
+    @pytest.mark.parametrize("point", [0.505, 2.8, 0.75 + 10j, 0.75 - 10j])
+    def test_rank_three_inverse_matches_dense_inverse(self, point):
+        t = feature_transfer(point, 2.0, 40)
+        want = np.linalg.inv(t.as_matrix())
+        u, c, v = t.inverse_factors()
+        assert u.shape == v.shape == (40, 3)
+        # Only C[0,0], C[1,1], C[0,1] and C[2,2] can be nonzero.
+        assert not c[[1, 2, 2, 0, 1], [0, 0, 1, 2, 2]].any()
+        form = np.eye(40) / t.alpha + u @ c @ v.conj().T
+        assert np.abs(form - want).max() < 1e-12
+        assert np.abs(t.apply_inverse(np.eye(40)) - want).max() < 1e-12
 
     def test_singular_value_oracle_at_sigma_one(self):
         t = feature_transfer(1.0, 2.0, 200)
@@ -241,6 +255,53 @@ class TestEvaluation:
             evaluate_realization(model, 0.3)
 
 
+def _without_d(model):
+    """The model as decode_model reads a file whose D factors are empty."""
+    data = encode_model(model)
+    data["d_left"] = data["d_right"] = []
+    return decode_model(data)
+
+
+def _without_gamma(model):
+    return replace(model, gamma=np.zeros_like(model.gamma))
+
+
+class TestDenseResolvent:
+    """evaluate_realization against one dense solve of (T (x) I - D) z = gamma."""
+
+    MODELS = {
+        "monomial": (DirichletMultiplier.monomial(0.5), POINTS, 40),
+        "mixed": (DirichletMultiplier(np.array([0.1, -0.4j, 0.0, 0.3])),
+                  [0.8, 1.1 + 1j, 1.6, 2.4 - 0.5j], 64),
+        "rank_one": (DirichletMultiplier.monomial(0.7, 3), [1.3], 40),
+    }
+    # The truncated inverse-norm certificate fails at Re = 0.505 for some
+    # truncations (32 and 48 among them), so the models use 40 and 64.
+    EVAL_POINTS = [0.505, 0.8, 1.05, 1.4 + 0.3j, 2.0, 3.5 - 4j, 0.9 + 10j]
+
+    @pytest.mark.parametrize("name", MODELS)
+    def test_built_model(self, name):
+        phi, points, trunc = self.MODELS[name]
+        model = build_realization(phi, points, trunc=trunc, tol=1.0)
+        assert model.d_left.shape[1] == len(points)
+        for s in list(points) + self.EVAL_POINTS:
+            got = evaluate_realization(model, s)
+            assert abs(got - dense_resolvent_value(model, s)) < 1e-12
+
+    @pytest.mark.parametrize("derive", [_without_d, _without_gamma])
+    def test_degenerate_model(self, derive):
+        phi, points, trunc = self.MODELS["monomial"]
+        model = derive(build_realization(phi, points, trunc=trunc, tol=1.0))
+        for s in self.EVAL_POINTS:
+            assert abs(evaluate_realization(model, s) - dense_resolvent_value(model, s)) < 1e-12
+
+    def test_model_without_d_has_zero_columns(self):
+        phi, points, trunc = self.MODELS["monomial"]
+        model = _without_d(build_realization(phi, points, trunc=trunc, tol=1.0))
+        assert model.d_left.shape == model.d_right.shape == (trunc * model.rank, 0)
+        assert model.block_gram().shape == (1, 1)
+
+
 class TestVerification:
     def test_pipeline_model_passes(self):
         phi = DirichletMultiplier.monomial(0.5)
@@ -276,7 +337,8 @@ DERIVED = {
 
 
 class TestComputedOnce:
-    """The two block norms are computed once per model instance."""
+    """The two block norms and the block Gram K are computed once per model
+    instance."""
 
     @pytest.fixture()
     def counted(self, monkeypatch):
@@ -311,6 +373,44 @@ class TestComputedOnce:
             assert model.d_norm() == pytest.approx(d_norm, rel=1e-12)
             assert model.contraction_sigma() == pytest.approx(sigma, rel=1e-12)
         assert len(counted) == before + 2
+
+    @pytest.fixture()
+    def counted_gram(self, monkeypatch):
+        calls = []
+        original = realization._block_gram
+
+        def counting(*blocks):
+            calls.append(None)
+            return original(*blocks)
+
+        monkeypatch.setattr(realization, "_block_gram", counting)
+        return calls
+
+    def test_block_gram_computed_once_for_evaluations(self, counted_gram):
+        model = self._model()
+        assert len(counted_gram) == 0
+        for p in (1.1, 1.3, 1.7 + 0.2j, 2.1, 2.9):
+            evaluate_realization(model, p)
+        verify_realization(model)
+        assert len(counted_gram) == 1
+
+    def test_failed_neumann_check_computes_no_block_gram(self, counted_gram):
+        model = self._model().scaled(1.5)
+        with pytest.raises(HypothesisError, match="invertibility"):
+            evaluate_realization(model, 1.1)
+        assert verify_realization(model).evaluation_error is not None
+        assert len(counted_gram) == 0
+
+    @pytest.mark.parametrize("derive", ["scaled", "decoded"])
+    def test_derived_model_computes_own_block_gram(self, counted_gram, derive):
+        model = self._model()
+        model.block_gram()
+        derived = DERIVED[derive](model)
+        want = (np.column_stack([derived.beta, derived.d_right]).conj().T
+                @ np.column_stack([derived.gamma, derived.d_left]))
+        for _ in range(2):
+            assert np.abs(derived.block_gram() - want).max() < 1e-12 * np.abs(want).max()
+        assert len(counted_gram) == 2
 
     @pytest.mark.parametrize("derive", DERIVED)
     def test_blocks_are_read_only(self, derive):
