@@ -58,18 +58,6 @@ def _factored_norm(left, right) -> float:
     return float(np.linalg.svd(ra @ rb.conj().T, compute_uv=False).max())
 
 
-def _block_gram(beta, d_right, gamma, d_left) -> np.ndarray:
-    """[beta | d_right]* [gamma | d_left] from four products, so no N-row
-    block is stacked."""
-    k = d_left.shape[1]
-    out = np.empty((1 + k, 1 + k), dtype=complex)
-    out[0, 0] = np.vdot(beta, gamma)
-    out[0, 1:] = beta.conj() @ d_left
-    out[1:, 0] = d_right.conj().T @ gamma
-    out[1:, 1:] = d_right.conj().T @ d_left
-    return out
-
-
 def _column_residual(got, want) -> float:
     """max over columns i of |got_i - want_i| / max(1, |want_i|)."""
     scale = np.maximum(1.0, np.linalg.norm(want, axis=0))
@@ -219,10 +207,6 @@ class FeatureTransfer:
         """Exact norm of the inverse map, max(|f|/|g|, 1/|alpha|)."""
         return max(self.section_ratio, 1.0 / abs(self.alpha))
 
-    @property
-    def inverse_norm_bound(self) -> float:
-        return max(self.eps_tilde, 1.0 / abs(self.alpha))
-
     def apply(self, mat: np.ndarray) -> np.ndarray:
         """T applied columnwise to an (N, r) block, reflection by reflection."""
         mat = np.asarray(mat, dtype=complex)
@@ -278,19 +262,23 @@ def feature_transfer(point, alpha: complex = DEFAULT_ALPHA, trunc: int = 1000,
 
 @dataclass(frozen=True)
 class RealizationModel:
-    """Blocks of the partial isometry [[a, beta*], [gamma, D]] together
-    with the data needed to rebuild transfer maps and rerun certificates.
+    """The partial isometry V = [[a, beta*], [gamma, D]] together with the
+    data needed to rebuild transfer maps and rerun certificates.
 
-    D is stored in factored form d_left @ d_right*; both factors have at
-    most as many columns as sample points, which keeps models with large
-    feature truncations tractable.
+    V is stored as its two factors, V = v_left @ v_right*, both of shape
+    (1 + trunc * rank, k) with k the number of sample points (k = 1 for
+    the rank-0 model [[a]] [[1]]*); the factor columns keep models with
+    large feature truncations tractable.  The blocks are read from them:
+    a = v_left[0] v_right[0]*, D = d_left d_right* with the views
+    d_left = v_left[1:] and d_right = v_right[1:], and the vectors
+    beta = d_right conj(v_left[0]) and gamma = d_left conj(v_right[0]),
+    which are formed on each access.
 
-    The array blocks are made read-only (not copied) on construction, so
-    d_norm(), contraction_sigma() and block_gram() compute their values from
-    the blocks once per instance and keep them.  They never read
-    ``certificates``: a model decoded from a file, or derived through
-    scaled() or replace(), is a new instance and computes them again from
-    its own blocks.
+    The factors are made read-only (not copied) on construction, so
+    d_norm(), contraction_sigma() and block_gram() compute their values
+    once per instance and keep them.  They never read ``certificates``: a
+    model decoded from a file, or derived through scaled() or replace(),
+    is a new instance and computes them again from its own factors.
     """
 
     points: tuple
@@ -298,61 +286,64 @@ class RealizationModel:
     rank: int
     alpha: complex
     psi: np.ndarray
-    a: complex
-    beta: np.ndarray
-    gamma: np.ndarray
-    d_left: np.ndarray
-    d_right: np.ndarray
+    v_left: np.ndarray
+    v_right: np.ndarray
     mu_sqrt: np.ndarray
     certificates: dict
     multiplier: DirichletMultiplier | None = None
 
     def __post_init__(self):
-        for name in ("psi", "beta", "gamma", "d_left", "d_right", "mu_sqrt"):
+        for name in ("psi", "v_left", "v_right", "mu_sqrt"):
             getattr(self, name).flags.writeable = False
 
     @property
-    def block_dim(self) -> int:
-        return self.trunc * self.rank
+    def a(self) -> complex:
+        return complex(self.v_left[0] @ np.conj(self.v_right[0]))
 
-    # Each norm is kept in the instance __dict__ under a name that is not a
-    # dataclass field, so replace() and scaled() start without it.
+    @property
+    def d_left(self) -> np.ndarray:
+        return self.v_left[1:]
+
+    @property
+    def d_right(self) -> np.ndarray:
+        return self.v_right[1:]
+
+    @property
+    def beta(self) -> np.ndarray:
+        return self.d_right @ np.conj(self.v_left[0])
+
+    @property
+    def gamma(self) -> np.ndarray:
+        return self.d_left @ np.conj(self.v_right[0])
+
+    # Each cached value is kept in the instance __dict__ under a name that
+    # is not a dataclass field, so replace() and scaled() start without it.
     def d_norm(self) -> float:
         """Spectral norm of D, computed on the first call only."""
         if "_d_norm" not in self.__dict__:
-            norm = _factored_norm(self.d_left, self.d_right) if self.d_left.size else 0.0
+            norm = _factored_norm(self.d_left, self.d_right) if self.rank else 0.0
             object.__setattr__(self, "_d_norm", norm)
         return self.__dict__["_d_norm"]
 
     def contraction_sigma(self) -> float:
-        """Largest singular value of the assembled block matrix, written as
-        [a; gamma] e0* + e0 [0; beta]* + [0; d_left] [0; d_right]*;
-        computed on the first call only."""
-        if "_sigma" in self.__dict__:
-            return self.__dict__["_sigma"]
-        shape = (1 + self.block_dim, 2 + self.d_left.shape[1])
-        left = np.zeros(shape, dtype=complex)
-        right = np.zeros(shape, dtype=complex)
-        left[0, :2] = self.a, 1.0
-        left[1:, 0] = self.gamma
-        left[1:, 2:] = self.d_left
-        right[0, 0] = 1.0
-        right[1:, 1] = self.beta
-        right[1:, 2:] = self.d_right
-        object.__setattr__(self, "_sigma", _factored_norm(left, right))
+        """Spectral norm of V, computed on the first call only."""
+        if "_sigma" not in self.__dict__:
+            object.__setattr__(self, "_sigma", _factored_norm(self.v_left, self.v_right))
         return self.__dict__["_sigma"]
 
     def block_gram(self) -> np.ndarray:
-        """K = [beta | d_right]* [gamma | d_left], the point-independent part
-        of every evaluation; computed on the first call only."""
+        """K = d_right* d_left, the point-independent part of every
+        evaluation; computed on the first call only."""
         if "_block_gram" not in self.__dict__:
-            object.__setattr__(self, "_block_gram", _block_gram(
-                self.beta, self.d_right, self.gamma, self.d_left))
+            object.__setattr__(self, "_block_gram", self.d_right.conj().T @ self.d_left)
         return self.__dict__["_block_gram"]
 
-    def scaled(self, d_scale: float) -> "RealizationModel":
-        """Copy with D scaled; used as a negative control in verification."""
-        return replace(self, d_left=d_scale * self.d_left)
+    def scaled(self, scale: float) -> "RealizationModel":
+        """Copy with the rows of V below the first scaled, so gamma and D
+        both scale; used as a negative control in verification."""
+        v_left = self.v_left.copy()
+        v_left[1:] *= scale
+        return replace(self, v_left=v_left)
 
 
 def _lifted_vectors(points, psi, mu_sqrt):
@@ -399,14 +390,9 @@ def build_realization(phi: DirichletMultiplier, points, trunc: int = 1000,
             "polar_defect": 0.0,
             "d_norm": 0.0,
         }
-        dim = 0
         return RealizationModel(
-            points=pts, trunc=trunc, rank=0, alpha=complex(DEFAULT_ALPHA),
-            psi=psi, a=complex(phi_vals[0]),
-            beta=np.zeros(dim, dtype=complex),
-            gamma=np.zeros(dim, dtype=complex),
-            d_left=np.zeros((dim, 0), dtype=complex),
-            d_right=np.zeros((dim, 0), dtype=complex),
+            points=pts, trunc=trunc, rank=0, alpha=complex(DEFAULT_ALPHA), psi=psi,
+            v_left=np.array([[phi_vals[0]]]), v_right=np.ones((1, 1), dtype=complex),
             mu_sqrt=mu_sqrt, certificates=certs, multiplier=phi,
         )
 
@@ -446,14 +432,6 @@ def build_realization(phi: DirichletMultiplier, points, trunc: int = 1000,
     norms = np.sqrt(np.abs(np.diag(gram_x).real))
     iso_defect = float((np.abs(gram_vx - gram_x) / np.outer(norms, norms)).max())
 
-    a = complex(w_iso[0] @ np.conj(q[0]))
-    # C-contiguous copies so evaluations of a deserialized model take the
-    # same BLAS paths bit for bit.
-    beta = np.ascontiguousarray(q[1:] @ np.conj(w_iso[0]))
-    gamma = np.ascontiguousarray(w_iso[1:] @ np.conj(q[0]))
-    d_left = np.ascontiguousarray(w_iso[1:])
-    d_right = np.ascontiguousarray(q[1:])
-
     certs = {
         "gram_identity_residual": residual,
         "isometry_defect": iso_defect,
@@ -464,7 +442,9 @@ def build_realization(phi: DirichletMultiplier, points, trunc: int = 1000,
     }
     model = RealizationModel(
         points=pts, trunc=trunc, rank=rank, alpha=complex(DEFAULT_ALPHA), psi=psi,
-        a=a, beta=beta, gamma=gamma, d_left=d_left, d_right=d_right,
+        # C-contiguous, so evaluations of a deserialized model take the
+        # same BLAS paths bit for bit.
+        v_left=np.ascontiguousarray(w_iso), v_right=np.ascontiguousarray(q),
         mu_sqrt=mu_sqrt, certificates=certs, multiplier=phi,
     )
     certs["sigma_max"] = model.contraction_sigma()
@@ -475,26 +455,30 @@ def build_realization(phi: DirichletMultiplier, points, trunc: int = 1000,
 def evaluate_realization(model: RealizationModel, s) -> complex:
     """Evaluate a + <(T (x) I - D)^(-1) gamma, beta> at a point of Re > 1/2.
 
-    With T^(-1) = I / alpha + U C V* (rank 3, FeatureTransfer.inverse_factors)
-    and D = d_left d_right*, the Woodbury identity reduces the resolvent to
-    the (1 + k) x (1 + k) matrix
+    With V = v_left v_right* the blocks are a = l0 r0*, beta = d_right l0*,
+    gamma = d_left r0* and D = d_left d_right*, writing l0 = v_left[0] and
+    r0 = v_right[0].  The Woodbury identity then collapses the value to
 
-        G = [beta | d_right]* (T^(-1) (x) I) [gamma | d_left]
-          = K / alpha + sum_ab C_ab (U_a* [beta | d_right])* (V_b* [gamma | d_left]),
+        phi(s) = l0 (I_k - M)^(-1) r0*,   M = d_right* (T^(-1) (x) I) d_left.
+
+    With T^(-1) = I / alpha + U C V* (rank 3, FeatureTransfer.inverse_factors),
+
+        M = K / alpha + sum_ab C_ab (U_a* d_right)* (V_b* d_left),
 
     where K = model.block_gram() does not depend on s and is computed once
-    per model.  Each point then makes one pass over the four blocks, with
-    three rows each; the inverse is never formed.  The Neumann certificate
-    |T^(-1)| |D| < 1 is checked before any of that work.
+    per model.  Each point then makes one pass over the two factors, with
+    three rows each, and solves one k x k system; the inverse is never
+    formed.  The Neumann certificate |T^(-1)| |D| < 1 is checked before any
+    of that work.
     """
     s = complex(s)
     if not s.real > 0.5:
         raise DomainError(f"evaluation point {s} must satisfy Re > 1/2")
-    if model.rank == 0 or not np.linalg.norm(model.gamma):
+    if model.rank == 0 or not model.v_right[0].any():
         return model.a
     # T is built at the conjugate point.
     t = FeatureTransfer(np.conj(s), model.alpha, model.trunc, model.mu_sqrt)
-    # |D| comes from the model's read-only blocks, computed once per
+    # |D| comes from the model's read-only factors, computed once per
     # instance; the stored certificates are never trusted.
     neumann = t.inverse_norm * model.d_norm()
     if not neumann < 1.0:
@@ -502,22 +486,14 @@ def evaluate_realization(model: RealizationModel, s) -> complex:
             f"invertibility certificate failed: |T^-1| |D| = {neumann:.6f} >= 1"
         )
     u, c, v = t.inverse_factors()
-    n, r, k = model.trunc, model.rank, model.d_left.shape[1]
-
-    def contract(rows, vec, block):
-        # Row n*r + j of a block holds coordinate j of feature n, so
-        # rows (x) I contracts the leading axis of the (trunc, r * cols)
-        # views; the result is (3, r, 1 + k).
-        out = np.empty((3, r, 1 + k), dtype=complex)
-        out[:, :, 0] = rows @ vec.reshape(n, r)
-        out[:, :, 1:] = (rows @ block.reshape(n, r * k)).reshape(3, r, k)
-        return out
-
-    left = contract(u.conj().T, model.beta, model.d_right)
-    right = contract(v.conj().T, model.gamma, model.d_left)
-    g = model.block_gram() / model.alpha + np.einsum("ajx,ab,bjy->xy", left.conj(), c, right)
-    w = np.linalg.solve(np.eye(k) - g[1:, 1:], g[1:, 0])
-    return model.a + complex(g[0, 0] + g[0, 1:] @ w)
+    n, r, k = model.trunc, model.rank, model.v_left.shape[1]
+    # Row n*r + j of a factor holds coordinate j of feature n, so rows (x) I
+    # contracts the leading axis of the (trunc, r * k) views.
+    left = (u.conj().T @ model.d_right.reshape(n, r * k)).reshape(3, r, k)
+    right = (v.conj().T @ model.d_left.reshape(n, r * k)).reshape(3, r, k)
+    m = model.block_gram() / model.alpha + np.einsum("ajx,ab,bjy->xy", left.conj(), c, right)
+    w = np.linalg.solve(np.eye(k) - m, np.conj(model.v_right[0]))
+    return complex(model.v_left[0] @ w)
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,8 @@
 Schema pickzeta/1: complex numbers are [re, im] pairs of binary64,
 matrices are row-major nested lists, field names are snake_case.  Every
 certificate carries the tolerances used and the conjugation convention.
+Realization model files are schema pickzeta/2: they hold the two factors
+v_left, v_right of the partial isometry V = v_left v_right*.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from .realization import DirichletMultiplier, RealizationModel, mobius_weights
 from .schur import HalfPlaneSchurFunction, RationalSchurFunction
 
 SCHEMA = "pickzeta/1"
+MODEL_SCHEMA = "pickzeta/2"
 
 
 def encode_complex(z) -> list:
@@ -176,56 +179,66 @@ def decode_multiplier(data) -> DirichletMultiplier:
 
 def encode_model(model: RealizationModel) -> dict:
     return {
-        "schema": SCHEMA,
+        "schema": MODEL_SCHEMA,
         "points": encode_vector(model.points),
         "trunc": model.trunc,
         "rank": model.rank,
         "alpha": encode_complex(model.alpha),
         "psi": encode_matrix(model.psi) if model.psi.size else [],
-        "a": encode_complex(model.a),
-        "beta": encode_vector(model.beta),
-        "gamma": encode_vector(model.gamma),
-        "d_left": encode_matrix(model.d_left) if model.d_left.size else [],
-        "d_right": encode_matrix(model.d_right) if model.d_right.size else [],
+        "v_left": encode_matrix(model.v_left),
+        "v_right": encode_matrix(model.v_right),
         "certificates": {k: float(v) for k, v in model.certificates.items()},
         "multiplier": encode_multiplier(model.multiplier) if model.multiplier else None,
     }
 
 
+def _model_count(data, name: str, least: int) -> int:
+    value = data.get(name)
+    if type(value) is not int or value < least:
+        raise ValidationError(f"model field {name!r} must be an integer >= {least}; got {value!r}")
+    return value
+
+
 def decode_model(data) -> RealizationModel:
     if not isinstance(data, dict):
         raise ValidationError("model file must hold a JSON object")
-    trunc = int(data["trunc"])
-    rank = int(data["rank"])
-    dim = trunc * rank
-    points = tuple(decode_vector(data["points"]))
-    psi = decode_matrix(data["psi"]) if data.get("psi") else np.zeros((0, 0), complex)
-    beta = decode_vector(data["beta"])
-    gamma = decode_vector(data["gamma"])
-    d_left = decode_matrix(data["d_left"]) if data.get("d_left") else np.zeros((dim, 0), complex)
-    d_right = decode_matrix(data["d_right"]) if data.get("d_right") else np.zeros((dim, 0), complex)
-    cols = d_left.shape[-1]
-    expected = {"beta": (beta, (dim,)), "gamma": (gamma, (dim,)),
-                "d_left": (d_left, (dim, cols)), "d_right": (d_right, (dim, cols))}
+    if data.get("schema") != MODEL_SCHEMA:
+        raise ValidationError(
+            f"model field 'schema' is {data.get('schema')!r}; expected {MODEL_SCHEMA!r}")
+    trunc = _model_count(data, "trunc", 1)
+    rank = _model_count(data, "rank", 0)
+    alpha = decode_complex(data["alpha"])
+    if not (np.isfinite(alpha) and abs(alpha) > 1.0):
+        raise ValidationError(f"model field 'alpha' must be finite with |alpha| > 1; got {alpha}")
+    arrays = {
+        "points": decode_vector(data["points"]),
+        "psi": decode_matrix(data["psi"]) if data.get("psi") else np.zeros((0, 0), complex),
+        "v_left": decode_matrix(data["v_left"]),
+        "v_right": decode_matrix(data["v_right"]),
+    }
+    for name, arr in arrays.items():
+        if not np.isfinite(arr).all():
+            raise ValidationError(f"model field {name!r} has non-finite entries")
+    points = tuple(arrays["points"])
+    # The rank-0 model is V = [[a]] [[1]]*.
+    shape = (1 + trunc * rank, len(points) if rank else 1)
+    expected = {"v_left": shape, "v_right": shape}
     if rank > 0:
-        expected["psi"] = (psi, (len(points), rank))
-    for name, (arr, shape) in expected.items():
-        if arr.shape != shape:
+        expected["psi"] = (len(points), rank)
+    for name, want in expected.items():
+        if arrays[name].shape != want:
             raise ValidationError(
-                f"model field {name!r} has shape {arr.shape}, expected {shape} "
+                f"model field {name!r} has shape {arrays[name].shape}, expected {want} "
                 f"for {len(points)} points, trunc {trunc}, rank {rank}")
     mult = decode_multiplier(data["multiplier"]) if data.get("multiplier") else None
     return RealizationModel(
         points=points,
         trunc=trunc,
         rank=rank,
-        alpha=decode_complex(data["alpha"]),
-        psi=psi,
-        a=decode_complex(data["a"]),
-        beta=beta,
-        gamma=gamma,
-        d_left=d_left,
-        d_right=d_right,
+        alpha=alpha,
+        psi=arrays["psi"],
+        v_left=arrays["v_left"],
+        v_right=arrays["v_right"],
         mu_sqrt=mobius_weights(trunc),
         certificates=dict(data.get("certificates", {})),
         multiplier=mult,

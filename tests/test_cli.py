@@ -43,6 +43,11 @@ def witness_problem(tmp_path):
     return str(path)
 
 
+def _first_entries(rows, re):
+    """The matrix rows with the first entry of each set to re + 0i."""
+    return [[[re, 0.0]] + row[1:] for row in rows]
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
@@ -273,35 +278,78 @@ class TestRealizeCommand:
                 "--points", "1.05,1.5,2.1", "--trunc", "400",
                 "--model-out", str(model_path))
         data = json.loads(model_path.read_text())
-        data["d_left"] = [[[1.5 * re, 1.5 * im] for re, im in row]
-                          for row in data["d_left"]]
+        data["v_left"][1:] = [[[1.5 * re, 1.5 * im] for re, im in row]
+                              for row in data["v_left"][1:]]
         model_path.write_text(json.dumps(data))
         code, out = run_cli(capsys, "realize", "--verify", str(model_path))
         assert code == 1
         assert json.loads(out)["passed"] is False
 
+    # case: (field, its wrong value)
     WRONG_SHAPES = {
-        "psi": lambda data: data["psi"][:2],
-        "beta": lambda data: data["beta"][:-1],
-        "gamma": lambda data: data["gamma"] + data["gamma"][:1],
-        "d_left": lambda data: data["d_left"][1:],
-        "d_right": lambda data: [row[:-1] for row in data["d_right"]],
-        "trunc": lambda data: data["trunc"] + 1,
-        "rank": lambda data: data["rank"] - 1,
+        "psi": ("psi", lambda data: data["psi"][:2]),
+        "v_left_row": ("v_left", lambda data: data["v_left"][:-1]),
+        "v_left_column": ("v_left", lambda data: [row[:-1] for row in data["v_left"]]),
+        "v_right_row": ("v_right", lambda data: data["v_right"] + data["v_right"][:1]),
+        "v_right_column": ("v_right", lambda data: [row[1:] for row in data["v_right"]]),
+        "trunc": ("trunc", lambda data: data["trunc"] + 1),
+        "rank": ("rank", lambda data: data["rank"] - 1),
     }
 
-    @pytest.mark.parametrize("field", WRONG_SHAPES)
-    def test_verify_wrong_shapes_exit_2(self, capsys, tmp_path, phi_file, field):
+    @staticmethod
+    def _verify_tampered(capsys, tmp_path, phi_file, field, tamper):
         model_path = tmp_path / "model.json"
         run_cli(capsys, "realize", "--phi", phi_file,
                 "--points", "1.05,1.4+0.3i,1.9-0.25i,2.6", "--trunc", "64",
                 "--build-tol", "1", "--model-out", str(model_path))
         data = json.loads(model_path.read_text())
-        data[field] = self.WRONG_SHAPES[field](data)
+        data[field] = tamper(data)
         model_path.write_text(json.dumps(data))
-        code, out = run_cli(capsys, "realize", "--verify", str(model_path))
+        return run_cli(capsys, "realize", "--verify", str(model_path))
+
+    @pytest.mark.parametrize("case", WRONG_SHAPES)
+    def test_verify_wrong_shapes_exit_2(self, capsys, tmp_path, phi_file, case):
+        code, out = self._verify_tampered(capsys, tmp_path, phi_file, *self.WRONG_SHAPES[case])
         assert code == 2
         assert json.loads(out)["kind"] == "ValidationError"
+
+    # case: (field, its bad value); the error must name the field.
+    BAD_VALUES = {
+        "schema_old": ("schema", lambda data: "pickzeta/1"),
+        "schema_null": ("schema", lambda data: None),
+        "trunc_fraction": ("trunc", lambda data: data["trunc"] + 0.7),
+        "rank_fraction": ("rank", lambda data: data["rank"] + 0.5),
+        "alpha_nan": ("alpha", lambda data: [float("nan"), 0.0]),
+        "alpha_inside_disc": ("alpha", lambda data: [0.5, 0.0]),
+        "points_nan": ("points", lambda data: [[float("nan"), 0.0]] + data["points"][1:]),
+        "psi_nan": ("psi", lambda data: _first_entries(data["psi"], float("nan"))),
+        "v_left_nan": ("v_left", lambda data: _first_entries(data["v_left"], float("nan"))),
+        "v_right_inf": ("v_right", lambda data: _first_entries(data["v_right"], float("inf"))),
+    }
+
+    @pytest.mark.parametrize("case", BAD_VALUES)
+    def test_verify_bad_values_exit_2(self, capsys, tmp_path, phi_file, case):
+        field, tamper = self.BAD_VALUES[case]
+        code, out = self._verify_tampered(capsys, tmp_path, phi_file, field, tamper)
+        assert code == 2
+        error = json.loads(out)
+        assert error["kind"] == "ValidationError"
+        assert repr(field) in error["error"]
+
+    def test_rank_zero_model_round_trip(self, capsys, tmp_path):
+        phi_path = tmp_path / "one.json"
+        phi_path.write_text(json.dumps({"coeffs": [[1.0, 0.0]]}))
+        model_path = tmp_path / "model.json"
+        code, out = run_cli(capsys, "realize", "--phi", str(phi_path), "--points", "1.0,2.0",
+                            "--trunc", "64", "--model-out", str(model_path))
+        assert code == 0
+        assert json.loads(out)["rank"] == 0
+        data = json.loads(model_path.read_text())
+        assert data["schema"] == "pickzeta/2"
+        assert data["v_left"] == [[[1.0, 0.0]]] and data["v_right"] == [[[1.0, 0.0]]]
+        code, out = run_cli(capsys, "realize", "--verify", str(model_path))
+        assert code == 0
+        assert json.loads(out)["passed"] is True
 
     @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
     def test_bad_build_tol_exit_2(self, capsys, tmp_path, phi_file, tol):

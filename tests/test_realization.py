@@ -255,15 +255,11 @@ class TestEvaluation:
             evaluate_realization(model, 0.3)
 
 
-def _without_d(model):
-    """The model as decode_model reads a file whose D factors are empty."""
-    data = encode_model(model)
-    data["d_left"] = data["d_right"] = []
-    return decode_model(data)
-
-
 def _without_gamma(model):
-    return replace(model, gamma=np.zeros_like(model.gamma))
+    """The model with v_right[0] = 0, so a = 0 and gamma = 0."""
+    v_right = model.v_right.copy()
+    v_right[0] = 0.0
+    return replace(model, v_right=v_right)
 
 
 class TestDenseResolvent:
@@ -288,18 +284,20 @@ class TestDenseResolvent:
             got = evaluate_realization(model, s)
             assert abs(got - dense_resolvent_value(model, s)) < 1e-12
 
-    @pytest.mark.parametrize("derive", [_without_d, _without_gamma])
+    @pytest.mark.parametrize("derive", [_without_gamma])
     def test_degenerate_model(self, derive):
         phi, points, trunc = self.MODELS["monomial"]
         model = derive(build_realization(phi, points, trunc=trunc, tol=1.0))
         for s in self.EVAL_POINTS:
             assert abs(evaluate_realization(model, s) - dense_resolvent_value(model, s)) < 1e-12
 
-    def test_model_without_d_has_zero_columns(self):
-        phi, points, trunc = self.MODELS["monomial"]
-        model = _without_d(build_realization(phi, points, trunc=trunc, tol=1.0))
-        assert model.d_left.shape == model.d_right.shape == (trunc * model.rank, 0)
-        assert model.block_gram().shape == (1, 1)
+    @pytest.mark.parametrize("name", MODELS)
+    def test_factors_assemble_the_block_matrix(self, name):
+        phi, points, trunc = self.MODELS[name]
+        model = build_realization(phi, points, trunc=trunc, tol=1.0)
+        dense = np.block([[np.array([[model.a]]), model.beta.conj()[None, :]],
+                          [model.gamma[:, None], model.d_left @ model.d_right.conj().T]])
+        assert np.abs(model.v_left @ model.v_right.conj().T - dense).max() < 1e-13
 
 
 class TestVerification:
@@ -376,14 +374,16 @@ class TestComputedOnce:
 
     @pytest.fixture()
     def counted_gram(self, monkeypatch):
+        """Counts the block_gram() calls that find no kept K and compute it."""
         calls = []
-        original = realization._block_gram
+        original = realization.RealizationModel.block_gram
 
-        def counting(*blocks):
-            calls.append(None)
-            return original(*blocks)
+        def counting(model):
+            if "_block_gram" not in model.__dict__:
+                calls.append(None)
+            return original(model)
 
-        monkeypatch.setattr(realization, "_block_gram", counting)
+        monkeypatch.setattr(realization.RealizationModel, "block_gram", counting)
         return calls
 
     def test_block_gram_computed_once_for_evaluations(self, counted_gram):
@@ -406,8 +406,7 @@ class TestComputedOnce:
         model = self._model()
         model.block_gram()
         derived = DERIVED[derive](model)
-        want = (np.column_stack([derived.beta, derived.d_right]).conj().T
-                @ np.column_stack([derived.gamma, derived.d_left]))
+        want = derived.d_right.conj().T @ derived.d_left
         for _ in range(2):
             assert np.abs(derived.block_gram() - want).max() < 1e-12 * np.abs(want).max()
         assert len(counted_gram) == 2
@@ -415,7 +414,7 @@ class TestComputedOnce:
     @pytest.mark.parametrize("derive", DERIVED)
     def test_blocks_are_read_only(self, derive):
         model = DERIVED[derive](self._model())
-        for name in ("psi", "beta", "gamma", "d_left", "d_right", "mu_sqrt"):
+        for name in ("psi", "v_left", "v_right", "mu_sqrt", "d_left", "d_right"):
             block = getattr(model, name)
             with pytest.raises(ValueError):
                 block[(0,) * block.ndim] = 0
