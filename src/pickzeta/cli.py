@@ -10,11 +10,13 @@ infeasibility or a failed certificate, 2 input error.
 from __future__ import annotations
 
 import argparse
+import cmath
 import csv
 import io
 import os
 import sys
 import tempfile
+from dataclasses import replace
 
 import numpy as np
 
@@ -30,7 +32,6 @@ from .errors import (
 )
 from .kernels import SZEGO_HALF_PLANE, KernelSpec, ZETA_MOBIUS, zeta_power_kernel
 from .pick import (
-    InterpolationProblem,
     cayley_transfer,
     counterexample_search,
     necessary_conditions,
@@ -47,12 +48,15 @@ EXIT_INPUT = 2
 
 
 def parse_complex(text: str) -> complex:
-    """Parse '2', '1.5+2i', '-0.7i', '1+1j' into a complex number."""
+    """Parse '2', '1.5+2i', '-0.7i', '1+1j' into a finite complex number."""
     cleaned = text.strip().replace(" ", "").replace("i", "j")
     try:
-        return complex(cleaned)
+        value = complex(cleaned)
     except ValueError as exc:
         raise ValidationError(f"cannot parse complex number {text!r}") from exc
+    if not cmath.isfinite(value):
+        raise ValidationError(f"complex number {text!r} is not finite")
+    return value
 
 
 def parse_complex_list(text: str) -> list:
@@ -97,19 +101,21 @@ def cmd_zeta(args, config: RunConfig):
     return EXIT_OK, {"results": results}, rows
 
 
+def _certificate_row(name: str, cert) -> dict:
+    return {"certificate": name, "psd": cert.psd, "min_eigenvalue": cert.min_eigenvalue,
+            "margin": cert.margin, "numerical_rank": cert.numerical_rank}
+
+
 def cmd_pick_check(args, config: RunConfig):
     problem = serialize.decode_problem(load_json(args.problem))
-    problem = InterpolationProblem(problem.nodes, problem.targets, problem.kernel,
-                                   config.psd_tol, config.rank_tol)
+    problem = replace(problem, psd_tol=config.psd_tol, rank_tol=config.rank_tol)
     report = {"problem": serialize.encode_problem(problem)}
     rows = []
     warnings = []
 
     cert = pick_certificate(problem)
     report["pick_certificate"] = serialize.encode_certificate(cert)
-    rows.append({"certificate": "pick", "psd": cert.psd,
-                 "min_eigenvalue": cert.min_eigenvalue, "margin": cert.margin,
-                 "numerical_rank": cert.numerical_rank})
+    rows.append(_certificate_row("pick", cert))
     if cert.inconclusive:
         warnings.append("pick certificate is within 10x tolerance: inconclusive")
 
@@ -123,9 +129,7 @@ def cmd_pick_check(args, config: RunConfig):
             "rank_full": conds.rank_full,
         }
         for name, c in (("cond_i", conds.cond_i), ("cond_ii", conds.cond_ii)):
-            rows.append({"certificate": name, "psd": c.psd,
-                         "min_eigenvalue": c.min_eigenvalue, "margin": c.margin,
-                         "numerical_rank": c.numerical_rank})
+            rows.append(_certificate_row(name, c))
             if c.inconclusive:
                 warnings.append(f"{name} is within 10x tolerance: inconclusive")
     else:
@@ -226,8 +230,7 @@ def cmd_solve(args, config: RunConfig):
         return EXIT_OK, report, rows
 
     problem = serialize.decode_problem(load_json(args.problem))
-    problem = InterpolationProblem(problem.nodes, problem.targets, problem.kernel,
-                                   config.psd_tol, config.rank_tol)
+    problem = replace(problem, psd_tol=config.psd_tol, rank_tol=config.rank_tol)
     result = solve_halfplane(problem)
     if isinstance(result, Infeasible):
         report = {
@@ -316,8 +319,7 @@ def cmd_realize(args, config: RunConfig):
 
 def cmd_search_dirichlet(args, config: RunConfig):
     problem = serialize.decode_problem(load_json(args.problem))
-    problem = InterpolationProblem(problem.nodes, problem.targets, problem.kernel,
-                                   config.psd_tol, config.rank_tol)
+    problem = replace(problem, psd_tol=config.psd_tol, rank_tol=config.rank_tol)
     family = [(text, parse_complex(text)) for text in args.h.split(",") if text.strip()]
     report_obj = search_dirichlet_solution(problem, family, trunc=args.fit_trunc,
                                            sigma0=args.sigma0)

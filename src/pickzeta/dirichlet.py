@@ -52,19 +52,6 @@ class HalfPlanePoint:
                 f"point {self.value} must satisfy Re > {self.floor}"
             )
 
-    @property
-    def sigma(self) -> float:
-        return self.value.real
-
-
-def as_point(z, floor: float) -> HalfPlanePoint:
-    """Coerce a complex number (or HalfPlanePoint) into H_floor."""
-    if isinstance(z, HalfPlanePoint):
-        if z.floor < floor and not z.value.real > floor:
-            raise DomainError(f"point {z.value} must satisfy Re > {floor}")
-        return HalfPlanePoint(z.value, floor)
-    return HalfPlanePoint(complex(z), floor)
-
 
 def _primes(limit: int) -> np.ndarray:
     """Primes <= limit, by the sieve of Eratosthenes."""
@@ -85,6 +72,12 @@ def _first_primes(count: int) -> list:
     return _primes(bound)[:count].tolist()
 
 
+def power_section(s, trunc: int) -> np.ndarray:
+    """The section n^(-s) for n = 1..trunc; array s adds leading axes."""
+    logn = np.log(np.arange(1, trunc + 1, dtype=float))
+    return np.exp(np.multiply.outer(-s, logn))
+
+
 def _rising(s: complex, terms: int) -> complex:
     out = 1.0 + 0.0j
     for j in range(terms):
@@ -92,33 +85,35 @@ def _rising(s: complex, terms: int) -> complex:
     return out
 
 
-def zeta(s, target_abs_err: float = DEFAULT_ABS_ERR, guard: float = POLE_GUARD) -> complex:
-    """Riemann zeta on Re(s) > 1, to ``target_abs_err`` absolute.
+def zeta(s, target_abs_err: float = DEFAULT_ABS_ERR) -> complex:
+    """Riemann zeta on Re(s) > 1 + POLE_GUARD, to ``target_abs_err`` absolute.
 
     Uses Euler-Maclaurin summation: a partial sum to an adaptive cutoff M,
     the integral tail M^(1-s)/(s-1) plus M^(-s)/2, and Bernoulli
     corrections through B_12.  M is chosen so the first omitted correction
     term is below the target; this keeps the cost uniform even close to
-    the abscissa Re(s) = 1 where the raw series is uselessly slow.
+    the abscissa Re(s) = 1 where the raw series is uselessly slow.  A
+    cutoff that is not finite or exceeds _CUTOFF_CAP raises AccuracyError.
     """
     s = complex(s)
     if target_abs_err <= 0:
         raise ValidationError("target_abs_err must be positive")
-    if not s.real > 1.0 + guard:
-        raise DomainError(f"zeta requires Re(s) > {1.0 + guard}; got Re(s) = {s.real}")
+    if not s.real > 1.0 + POLE_GUARD:
+        raise DomainError(f"zeta requires Re(s) > {1.0 + POLE_GUARD}; got Re(s) = {s.real}")
 
     sigma = s.real
     # Cutoff from |B_14|/14! * |(s)_13| * M^(-sigma-13) <= target / 4.
     lead = _NEXT_WEIGHT * abs(_rising(s, 13))
-    cutoff = (4.0 * lead / target_abs_err) ** (1.0 / (sigma + 13.0))
-    M = max(12, int(math.ceil(cutoff)), int(math.ceil(abs(s.imag) / 3.0)))
+    cutoff = max((4.0 * lead / target_abs_err) ** (1.0 / (sigma + 13.0)), abs(s.imag) / 3.0)
+    if not math.isfinite(cutoff):
+        raise AccuracyError(f"cutoff is not finite at s = {s}")
+    M = max(12, math.ceil(cutoff))
     if M > _CUTOFF_CAP:
         raise AccuracyError(
             f"cutoff {M} exceeds budget {_CUTOFF_CAP} for target {target_abs_err}"
         )
 
-    n = np.arange(1, M, dtype=float)
-    partial = complex(np.sum(np.exp(-s * np.log(n))))
+    partial = complex(np.sum(power_section(s, M - 1)))
     mf = float(M)
     head = mf ** (1.0 - s) / (s - 1.0) + 0.5 * mf ** (-s)
 
@@ -216,26 +211,22 @@ class CoefficientSeries:
         return complex(self.coeffs[n - 1])
 
     @staticmethod
-    def ones(trunc: int, label: str = "zeta") -> "CoefficientSeries":
-        return CoefficientSeries(np.ones(trunc), label)
+    def ones(trunc: int) -> "CoefficientSeries":
+        return CoefficientSeries(np.ones(trunc), "zeta")
 
     @staticmethod
-    def unit(trunc: int, label: str = "unit") -> "CoefficientSeries":
+    def unit(trunc: int) -> "CoefficientSeries":
         e = np.zeros(trunc)
         e[0] = 1.0
-        return CoefficientSeries(e, label)
+        return CoefficientSeries(e, "unit")
 
     @staticmethod
-    def mobius(trunc: int, label: str = "mobius") -> "CoefficientSeries":
-        return CoefficientSeries(mobius_range(trunc)[1:].astype(float), label)
+    def mobius(trunc: int) -> "CoefficientSeries":
+        return CoefficientSeries(mobius_range(trunc)[1:].astype(float), "mobius")
 
     @staticmethod
-    def one_plus_mobius(trunc: int, label: str = "one_plus_mobius") -> "CoefficientSeries":
-        return CoefficientSeries(1.0 + mobius_range(trunc)[1:].astype(float), label)
-
-    @staticmethod
-    def zeta_power(power: int, trunc: int) -> "CoefficientSeries":
-        return zeta_power_coeffs(power, trunc)
+    def one_plus_mobius(trunc: int) -> "CoefficientSeries":
+        return CoefficientSeries(1.0 + mobius_range(trunc)[1:].astype(float), "one_plus_mobius")
 
 
 def dirichlet_convolve(a: CoefficientSeries, b: CoefficientSeries) -> CoefficientSeries:

@@ -19,7 +19,7 @@ from .dirichlet import (
     DEFAULT_ABS_ERR,
     CoefficientSeries,
     HalfPlanePoint,
-    as_point,
+    power_section,
     zeta,
     zeta_power_coeffs,
     zeta_reciprocal,
@@ -55,8 +55,9 @@ class KernelSpec:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValidationError(f"unknown kernel kind {self.kind!r}")
-        if self.power < 1:
-            raise ValidationError("kernel power must be a positive integer")
+        power = self.power
+        if isinstance(power, bool) or not isinstance(power, (int, np.integer)) or power < 1:
+            raise ValidationError(f"kernel power must be a positive integer; got {power!r}")
         if self.kind == DIAGONAL:
             if self.coeffs is None:
                 raise ValidationError("diagonal kernel requires a coefficient series")
@@ -83,7 +84,7 @@ class KernelSpec:
             if not abs(z) < 1.0:
                 raise DomainError(f"disc kernel point {z} must satisfy |z| < 1")
             return z
-        return as_point(z, self.domain_floor).value
+        return HalfPlanePoint(z, self.domain_floor).value
 
     def has_coefficients(self) -> bool:
         return self.kind in (ZETA_POWER, ZETA_MOBIUS, DIAGONAL)
@@ -123,12 +124,14 @@ def diagonal_kernel(coeffs: CoefficientSeries) -> KernelSpec:
     return KernelSpec(DIAGONAL, coeffs=coeffs)
 
 
-def kernel_eval(spec: KernelSpec, s, u, tol: float = DEFAULT_ABS_ERR) -> complex:
+def kernel_eval(spec: KernelSpec, s, u) -> complex:
     """Pointwise kernel value k(s, u) = k analytic in s, conjugate in u.
 
     Hermitian symmetry kernel_eval(k, u, s) == conj(kernel_eval(k, s, u))
     holds exactly in floating point because conjugation commutes with every
-    arithmetic operation used.
+    arithmetic operation used.  Zeta terms are evaluated to
+    DEFAULT_ABS_ERR / (3 m) for zeta^m and DEFAULT_ABS_ERR / 2 each for
+    zeta + 1/zeta.
     """
     zs = spec.validate_point(s)
     zu = spec.validate_point(u)
@@ -138,17 +141,15 @@ def kernel_eval(spec: KernelSpec, s, u, tol: float = DEFAULT_ABS_ERR) -> complex
         return 1.0 / (zs + np.conj(zu))
     w = zs + np.conj(zu)
     if spec.kind == ZETA_POWER:
-        inner = min(DEFAULT_ABS_ERR, tol / (3.0 * spec.power))
-        return zeta(w, inner) ** spec.power
+        return zeta(w, DEFAULT_ABS_ERR / (3.0 * spec.power)) ** spec.power
     if spec.kind == ZETA_MOBIUS:
-        return zeta(w, 0.5 * tol) + zeta_reciprocal(w, 0.5 * tol)
+        return zeta(w, 0.5 * DEFAULT_ABS_ERR) + zeta_reciprocal(w, 0.5 * DEFAULT_ABS_ERR)
     # Diagonal kernels are finite Dirichlet polynomials: the sum is exact.
     arr = spec.coeffs.coeffs.real
-    m = np.arange(1, arr.size + 1, dtype=float)
-    return complex(np.sum(arr * np.exp(-w * np.log(m))))
+    return complex(np.sum(arr * power_section(w, arr.size)))
 
 
-def gram_matrix(spec: KernelSpec, points, tol: float = DEFAULT_ABS_ERR) -> np.ndarray:
+def gram_matrix(spec: KernelSpec, points) -> np.ndarray:
     """Hermitian Gram matrix [k(x_i, x_j)] over a list of distinct points."""
     pts = [spec.validate_point(p) for p in points]
     k = len(pts)
@@ -158,7 +159,7 @@ def gram_matrix(spec: KernelSpec, points, tol: float = DEFAULT_ABS_ERR) -> np.nd
         for j in range(i + 1, k):
             if abs(pts[i] - pts[j]) <= NODE_SEPARATION:
                 raise ValidationError(f"duplicate points at indices {i}, {j}")
-    return hermitian_fill(k, lambda i, j: kernel_eval(spec, pts[i], pts[j], tol))
+    return hermitian_fill(k, lambda i, j: kernel_eval(spec, pts[i], pts[j]))
 
 
 def hermitian_fill(k: int, entry) -> np.ndarray:
@@ -201,8 +202,7 @@ class FeatureVector:
         return complex(np.vdot(other.coords, self.coords))
 
 
-def _diagonal_tail_bound(spec: KernelSpec, sigma: float, trunc: int,
-                         partial_diag: float) -> float:
+def _diagonal_tail_bound(spec: KernelSpec, sigma: float, partial_diag: float) -> float:
     """Bound on sum_{m>trunc} a_m m^(-2 sigma) for coefficient kernels."""
     two_sigma = 2.0 * sigma
     if spec.kind == ZETA_POWER:
@@ -227,9 +227,9 @@ def feature_map(spec: KernelSpec, s, trunc: int,
     series = spec.coefficient_series(trunc)
     amps = np.sqrt(series.coeffs.real)
     m = np.arange(1, trunc + 1, dtype=float)
-    coords = amps * np.exp(-z * np.log(m))
+    coords = amps * power_section(z, trunc)
     partial_diag = float(np.sum(series.coeffs.real * m ** (-2.0 * z.real)))
-    tail = _diagonal_tail_bound(spec, z.real, trunc, partial_diag)
+    tail = _diagonal_tail_bound(spec, z.real, partial_diag)
     if max_tail is not None and tail > max_tail:
         raise TruncationError(
             f"feature tail bound {tail:.3e} exceeds {max_tail:.3e} at truncation {trunc}",

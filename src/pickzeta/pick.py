@@ -11,12 +11,13 @@ half-plane infeasible.
 
 from __future__ import annotations
 
+import cmath
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dirichlet import DEFAULT_ABS_ERR, zeta
+from .dirichlet import zeta
 from .errors import DomainError, ValidationError
 from .kernels import (
     NODE_SEPARATION,
@@ -55,8 +56,13 @@ class InterpolationProblem:
         targets = tuple(complex(w) for w in self.targets)
         if len(nodes) != len(targets) or len(nodes) < 1:
             raise ValidationError("need equally many nodes and targets, at least one")
-        if self.psd_tol <= 0 or self.rank_tol <= 0:
-            raise ValidationError("tolerances must be positive")
+        for name, values in (("nodes", nodes), ("targets", targets)):
+            if not all(map(cmath.isfinite, values)):
+                raise ValidationError(f"{name} must be finite; got {values}")
+        for name in ("psd_tol", "rank_tol"):
+            value = getattr(self, name)
+            if not 0 < value < np.inf:
+                raise ValidationError(f"{name} must be finite and positive; got {value}")
         for z in nodes:
             self.kernel.validate_point(z)
         for i, j in itertools.combinations(range(len(nodes)), 2):
@@ -138,15 +144,22 @@ def certify_psd(matrix, psd_tol: float = DEFAULT_PSD_TOL,
     )
 
 
-def pick_matrix(problem: InterpolationProblem, tol: float = DEFAULT_ABS_ERR) -> np.ndarray:
+def pick_matrix(problem: InterpolationProblem) -> np.ndarray:
     """The Pick matrix [(1 - w_i conj(w_j)) k(x_i, x_j)] of a problem."""
-    gram = gram_matrix(problem.kernel, problem.nodes, tol)
+    gram = gram_matrix(problem.kernel, problem.nodes)
     w = np.asarray(problem.targets, dtype=complex)
     return (1.0 - np.outer(w, w.conj())) * gram
 
 
 def pick_certificate(problem: InterpolationProblem) -> PickCertificate:
     return certify_psd(pick_matrix(problem), problem.psd_tol, problem.rank_tol)
+
+
+def disc_pick_matrix(nodes, targets) -> np.ndarray:
+    """The disc Szego Pick matrix [(1 - w_i conj(w_j)) / (1 - z_i conj(z_j))]."""
+    z = np.asarray(nodes, dtype=complex)
+    w = np.asarray(targets, dtype=complex)
+    return (1.0 - np.outer(w, w.conj())) / (1.0 - np.outer(z, z.conj()))
 
 
 def cayley(z) -> complex:
@@ -209,12 +222,10 @@ def cayley_transfer(problem: InterpolationProblem) -> CayleyTransfer:
     if problem.kernel.kind != SZEGO_HALF_PLANE:
         raise ValidationError("cayley_transfer expects the half-plane Szego kernel")
     nodes = np.asarray(problem.nodes, dtype=complex)
-    w = np.asarray(problem.targets, dtype=complex)
     p = pick_matrix(problem)
     v = nodes + 1.0
     factor = np.outer(v, v.conj()) / 2.0
-    disc_nodes = np.array([cayley(z) for z in nodes])
-    q = (1.0 - np.outer(w, w.conj())) / (1.0 - np.outer(disc_nodes, disc_nodes.conj()))
+    q = disc_pick_matrix([cayley(z) for z in nodes], problem.targets)
     residual = float(np.abs(q - p * factor).max())
     cert_p = certify_psd(p, problem.psd_tol, problem.rank_tol)
     cert_q = certify_psd(q, problem.psd_tol, problem.rank_tol)
@@ -248,9 +259,9 @@ class CounterexampleCertificate:
         return self.kernel_cert.inconclusive or self.szego_cert.inconclusive
 
 
-def counterexample_window(tol: float = DEFAULT_ABS_ERR) -> tuple:
+def counterexample_window() -> tuple:
     """Admissible |w2| interval (1/3, sqrt(1 - zeta(3)^2/(zeta(2) zeta(4))))."""
-    ratio = (zeta(3.0, tol) ** 2 / (zeta(2.0, tol) * zeta(4.0, tol))).real
+    ratio = (zeta(3.0) ** 2 / (zeta(2.0) * zeta(4.0))).real
     return (1.0 / 3.0, float(np.sqrt(1.0 - ratio)))
 
 
@@ -279,10 +290,8 @@ def two_point_counterexample(power: int, w2: complex,
     z4 = zeta(4.0).real
     factor = 1.0 - mod * mod
 
-    kernel_problem = InterpolationProblem(nodes, targets, zeta_power_kernel(power),
-                                          psd_tol, rank_tol)
-    szego_problem = InterpolationProblem(nodes, targets, szego_half_plane(),
-                                         psd_tol, rank_tol)
+    szego_problem = InterpolationProblem(nodes, targets, szego_half_plane(), psd_tol, rank_tol)
+    kernel_problem = replace(szego_problem, kernel=zeta_power_kernel(power))
     km = pick_matrix(kernel_problem)
     sm = pick_matrix(szego_problem)
     kernel_det = (z2 ** power) * factor * (z4 ** power) - z3 ** (2 * power)
@@ -310,7 +319,6 @@ class SearchGrid:
     nodes: tuple = (0.6, 0.8, 1.0, 1.5, 2.0, 3.0)
     target_moduli: tuple = tuple(0.05 * k for k in range(1, 20))
     target_phases: tuple = (0.0, np.pi / 2.0, np.pi)
-    first_target: complex = 0.0
 
 
 @dataclass(frozen=True)
@@ -326,9 +334,9 @@ class CounterexampleWitness:
 def counterexample_search(kernel: KernelSpec, grid: SearchGrid | None = None,
                           psd_tol: float = DEFAULT_PSD_TOL,
                           rank_tol: float = DEFAULT_RANK_TOL) -> list:
-    """Enumerate two-point data where the kernel Pick matrix is PSD but the
-    half-plane Szego Pick matrix is not, each verdict holding with margin
-    at least BORDERLINE_FACTOR * psd_tol.  An empty list is a valid result.
+    """Enumerate two-point data (first target 0) where the kernel Pick
+    matrix is PSD but the half-plane Szego Pick matrix is not, neither
+    verdict inconclusive.  An empty list is a valid result.
     """
     grid = grid or SearchGrid()
     floor = kernel.domain_floor
@@ -344,17 +352,15 @@ def counterexample_search(kernel: KernelSpec, grid: SearchGrid | None = None,
         for mod in grid.target_moduli:
             for phase in grid.target_phases:
                 w2 = mod * np.exp(1j * phase)
-                w = np.array([grid.first_target, w2])
+                w = np.array([0.0, w2])
                 mul = 1.0 - np.outer(w, w.conj())
                 cert_k = certify_psd(mul * gram_k, psd_tol, rank_tol)
                 cert_s = certify_psd(mul * gram_s, psd_tol, rank_tol)
-                scale_k = max(1.0, cert_k.spectral_norm)
-                scale_s = max(1.0, cert_s.spectral_norm)
-                if (cert_k.min_eigenvalue >= BORDERLINE_FACTOR * psd_tol * scale_k
-                        and cert_s.min_eigenvalue <= -BORDERLINE_FACTOR * psd_tol * scale_s):
+                if (cert_k.psd and not cert_s.psd
+                        and not (cert_k.inconclusive or cert_s.inconclusive)):
                     found.append(CounterexampleWitness(
-                        complex(l1), complex(l2), complex(grid.first_target),
-                        complex(w2), cert_k.margin, cert_s.margin))
+                        complex(l1), complex(l2), 0j, complex(w2),
+                        cert_k.margin, cert_s.margin))
     found.sort(key=lambda w: (w.node1.real, w.node1.imag, w.node2.real, w.node2.imag,
                               abs(w.target2), w.target2.real, w.target2.imag))
     return found
@@ -375,27 +381,18 @@ class NecessaryConditions:
     cond_i: PickCertificate
     cond_ii: PickCertificate
     rank_full: bool
-    from_multiplier: bool = False
 
 
-def necessary_conditions(problem: InterpolationProblem,
-                         from_multiplier: bool = False) -> NecessaryConditions:
+def necessary_conditions(problem: InterpolationProblem) -> NecessaryConditions:
     """Evaluate both necessary conditions for nodes in Re > 1/2."""
     for z in problem.nodes:
         if not complex(z).real > 0.5:
             raise DomainError(f"node {z} must satisfy Re > 1/2")
     problem.require_disc_targets()
-    zeta_problem = InterpolationProblem(problem.nodes, problem.targets,
-                                        zeta_power_kernel(1),
-                                        problem.psd_tol, problem.rank_tol)
-    szego_problem = InterpolationProblem(problem.nodes, problem.targets,
-                                         szego_half_plane(),
-                                         problem.psd_tol, problem.rank_tol)
-    cert_i = pick_certificate(zeta_problem)
-    cert_ii = pick_certificate(szego_problem)
+    cert_i = pick_certificate(replace(problem, kernel=zeta_power_kernel(1)))
+    cert_ii = pick_certificate(replace(problem, kernel=szego_half_plane()))
     return NecessaryConditions(
         cond_i=cert_i,
         cond_ii=cert_ii,
         rank_full=cert_ii.numerical_rank == problem.size,
-        from_multiplier=from_multiplier,
     )

@@ -27,7 +27,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dirichlet import CoefficientSeries, zeta, zeta_reciprocal
+from .dirichlet import DEFAULT_ABS_ERR, CoefficientSeries, power_section, zeta, zeta_reciprocal
 from .errors import (
     DomainError,
     HypothesisError,
@@ -43,12 +43,6 @@ QR_DROP_TOL = 1e-12
 DEFECT_ZETA_TOL = 1e-13
 CONTRACTION_TOL = 1e-8
 PSD_SLACK = 1e-2
-
-
-def _powers(s, trunc: int) -> np.ndarray:
-    """The section n^(-s) for n = 1..trunc; array s adds leading axes."""
-    logn = np.log(np.arange(1, trunc + 1, dtype=float))
-    return np.exp(np.multiply.outer(-np.asarray(s), logn))
 
 
 def _factored_norm(left, right) -> float:
@@ -92,14 +86,20 @@ class DirichletMultiplier:
         return self.declared_norm <= 1.0 + 1e-14
 
     def __call__(self, s):
-        vals = _powers(np.asarray(s, dtype=complex), self.coeffs.size) @ self.coeffs
+        vals = power_section(np.asarray(s, dtype=complex), self.coeffs.size) @ self.coeffs
         return vals if vals.shape else complex(vals)
 
     @staticmethod
-    def monomial(c: complex, n: int = 2, label: str = "") -> "DirichletMultiplier":
+    def monomial(c: complex, n: int = 2) -> "DirichletMultiplier":
         coeffs = np.zeros(n, dtype=complex)
         coeffs[n - 1] = c
-        return DirichletMultiplier(coeffs, label or f"{c}*{n}^(-s)")
+        return DirichletMultiplier(coeffs, f"{c}*{n}^(-s)")
+
+
+def _defect_fill(points, values, zeta_tol: float) -> np.ndarray:
+    """[(1 - v_i conj(v_j)) zeta(s_i + conj(s_j))], zeta to ``zeta_tol``."""
+    return hermitian_fill(len(points), lambda i, j: (1.0 - values[i] * np.conj(values[j]))
+                          * zeta(points[i] + np.conj(points[j]), zeta_tol))
 
 
 def defect_gram(phi, points) -> np.ndarray:
@@ -113,8 +113,7 @@ def defect_gram(phi, points) -> np.ndarray:
         if not p.real > 0.5:
             raise DomainError(f"sample point {p} must satisfy Re > 1/2")
     vals = np.array([complex(phi(p)) for p in pts])
-    out = hermitian_fill(len(pts), lambda i, j: (1.0 - vals[i] * np.conj(vals[j]))
-                         * zeta(pts[i] + np.conj(pts[j]), DEFECT_ZETA_TOL))
+    out = _defect_fill(pts, vals, DEFECT_ZETA_TOL)
     lo = float(np.linalg.eigvalsh(out)[0])
     scale = max(1.0, float(np.abs(out).max()))
     if lo < -DEFAULT_PSD_TOL * scale:
@@ -171,7 +170,7 @@ class FeatureTransfer:
         self.alpha = complex(alpha)
         self.trunc = int(trunc)
 
-        f = _powers(np.conj(point), trunc)
+        f = power_section(np.conj(point), trunc)
         g = mu_sqrt * f
         self.section_norm = float(np.linalg.norm(f))
         self.image_norm = float(np.linalg.norm(g))
@@ -349,7 +348,7 @@ class RealizationModel:
 def _lifted_vectors(points, psi, mu_sqrt):
     """Second components of the lifts, one column per point:
     zeta-feature(s_i) (x) psi_i and mobius-feature(s_i) (x) psi_i."""
-    zf = _powers(np.asarray(points, dtype=complex), mu_sqrt.size)
+    zf = power_section(np.asarray(points, dtype=complex), mu_sqrt.size)
     x2 = zf[:, :, None] * psi[:, None, :]
     y2 = (mu_sqrt * zf)[:, :, None] * psi[:, None, :]
     return x2.reshape(len(psi), -1).T, y2.reshape(len(psi), -1).T
@@ -548,8 +547,7 @@ def verify_realization(model: RealizationModel, grid=None) -> VerificationReport
     try:
         for i, g in enumerate(grid):
             values[i] = evaluate_realization(model, g)
-        gram = hermitian_fill(len(grid), lambda i, j: (1.0 - values[i] * np.conj(values[j]))
-                              * zeta(grid[i] + np.conj(grid[j])))
+        gram = _defect_fill(grid, values, DEFAULT_ABS_ERR)
         scale = max(1.0, float(np.abs(gram).max()))
         gram_cert = certify_psd(gram, psd_tol=PSD_SLACK, rank_tol=1e-8)
         psd_ok = gram_cert.min_eigenvalue >= -PSD_SLACK * scale

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dirichlet import power_section
 from .errors import DomainError, HypothesisError, IllConditionedError, ValidationError
 from .kernels import SZEGO_HALF_PLANE
 from .pick import (
@@ -29,6 +30,7 @@ from .pick import (
     PickCertificate,
     cayley,
     certify_psd,
+    disc_pick_matrix,
     necessary_conditions,
 )
 
@@ -43,6 +45,10 @@ NEAR_BOUNDARY = 1.0 - 1e-8
 
 _BOUNDARY_SAMPLES = 2048
 
+# The Dirichlet fit samples _FIT_SAMPLES points with |Im s| <= _FIT_T_SPAN.
+_FIT_T_SPAN = 5.0
+_FIT_SAMPLES = 64
+
 
 def blaschke_factor(z, node):
     """The disc automorphism (z - node)/(1 - conj(node) z)."""
@@ -55,12 +61,37 @@ def _apply_step(node, parameter, z, inner):
     return (t + parameter) / (1.0 + np.conj(parameter) * t)
 
 
-def _trim(poly, rel_tol=1e-12):
+def _trim(poly):
     scale = np.abs(poly).max()
     if scale == 0.0:
         return poly[:1]
-    keep = np.nonzero(np.abs(poly) > rel_tol * scale)[0]
+    keep = np.nonzero(np.abs(poly) > 1e-12 * scale)[0]
     return poly[: keep[-1] + 1] if keep.size else poly[:1]
+
+
+def _step_chain(steps):
+    """The product of the steps' polynomial matrices [[up, gamma down],
+    [conj(gamma) up, down]] / sqrt(1 - |gamma|^2), up = z - node and
+    down = 1 - conj(node) z: the chain maps t to (n11 t + n12)/(n21 t + n22).
+    """
+    n11 = np.array([1.0 + 0j])
+    n12 = np.array([0j])
+    n21 = np.array([0j])
+    n22 = np.array([1.0 + 0j])
+    for node, gamma in steps:
+        scale = 1.0 / np.sqrt(1.0 - abs(gamma) ** 2)
+        up = np.array([-node, 1.0]) * scale          # (z - node), normalized
+        down = np.array([1.0, -np.conj(node)]) * scale
+        a11, a12 = up, gamma * down
+        a21, a22 = np.conj(gamma) * up, down
+        # All four entries share one length per level, so plain
+        # addition of the ascending coefficient arrays is aligned.
+        m11 = np.convolve(n11, a11) + np.convolve(n12, a21)
+        m12 = np.convolve(n11, a12) + np.convolve(n12, a22)
+        m21 = np.convolve(n21, a11) + np.convolve(n22, a21)
+        m22 = np.convolve(n21, a12) + np.convolve(n22, a22)
+        n11, n12, n21, n22 = m11, m12, m21, m22
+    return n11, n12, n21, n22
 
 
 @dataclass(frozen=True)
@@ -72,10 +103,6 @@ class BoundaryCertificate:
     lipschitz_estimate: float
     certified_sup: float
     unimodular_deviation: float
-
-    @property
-    def schur_class(self) -> bool:
-        return self.sup_sampled <= 1.0 + 1e-8
 
 
 class RationalSchurFunction:
@@ -104,16 +131,14 @@ class RationalSchurFunction:
         else:
             self.representation = "schur_steps"
             self.steps = tuple((complex(n), complex(g)) for n, g in steps)
+            if any(not abs(g) < 1.0 for _, g in self.steps):
+                raise ValidationError("step parameters must lie in the open unit disc")
             self.terminal = complex(terminal)
             if abs(self.terminal) > 1.0 + 1e-10:
                 raise ValidationError("terminal parameter must lie in the closed disc")
             self.zeros = None
             self.unimodular = None
         self._poly = None
-
-    @classmethod
-    def constant(cls, value):
-        return cls(steps=(), terminal=value)
 
     @classmethod
     def from_blaschke(cls, zeros, unimodular=1.0):
@@ -132,7 +157,9 @@ class RationalSchurFunction:
         return out if out.shape else complex(out)
 
     def polynomials(self):
-        """(numerator, denominator) coefficient arrays, ascending powers."""
+        """(numerator, denominator) coefficient arrays, ascending powers;
+        a step chain's come from _step_chain, the ParametrizationMatrix
+        product, so both carry the factors 1/sqrt(1 - |gamma|^2)."""
         if self._poly is None:
             if self.representation == "blaschke":
                 num = np.array([self.unimodular], dtype=complex)
@@ -141,13 +168,9 @@ class RationalSchurFunction:
                     num = np.convolve(num, np.array([-a, 1.0]))
                     den = np.convolve(den, np.array([1.0, -np.conj(a)]))
             else:
-                num = np.array([self.terminal], dtype=complex)
-                den = np.array([1.0 + 0.0j])
-                for node, gamma in reversed(self.steps):
-                    up = np.convolve(np.array([-node, 1.0]), num)
-                    down = np.convolve(np.array([1.0, -np.conj(node)]), den)
-                    num = up + gamma * down
-                    den = down + np.conj(gamma) * up
+                n11, n12, n21, n22 = _step_chain(self.steps)
+                num = n11 * self.terminal + n12
+                den = n21 * self.terminal + n22
             self._poly = (num, den)
         return self._poly
 
@@ -179,7 +202,9 @@ class RationalSchurFunction:
             return np.array([], dtype=complex)
         return np.roots(num[::-1])
 
-    def boundary_certificate(self, samples: int = _BOUNDARY_SAMPLES) -> BoundaryCertificate:
+    def boundary_certificate(self) -> BoundaryCertificate:
+        """|f| sampled at _BOUNDARY_SAMPLES points of the unit circle."""
+        samples = _BOUNDARY_SAMPLES
         theta = 2.0 * np.pi * np.arange(samples) / samples
         vals = self(np.exp(1j * theta))
         mags = np.abs(vals)
@@ -213,12 +238,6 @@ class SolveTrace:
     degenerate_level: int | None
 
 
-def disc_pick_matrix(nodes, targets) -> np.ndarray:
-    z = np.asarray(nodes, dtype=complex)
-    w = np.asarray(targets, dtype=complex)
-    return (1.0 - np.outer(w, w.conj())) / (1.0 - np.outer(z, z.conj()))
-
-
 def _validate_disc_data(nodes, targets):
     z = [complex(v) for v in nodes]
     w = [complex(v) for v in targets]
@@ -246,14 +265,25 @@ def _validate_disc_data(nodes, targets):
 
 
 def _reduce_once(nodes, targets):
-    """One Schur step: returns (pivot parameter, reduced nodes, reduced targets)."""
+    """One Schur step: the reduced nodes and targets after the first node."""
     z0, w0 = nodes[0], targets[0]
     rest_nodes = nodes[1:]
     reduced = []
     for zi, wi in zip(rest_nodes, targets[1:]):
         shifted = (wi - w0) / (1.0 - np.conj(w0) * wi)
         reduced.append(shifted / blaschke_factor(zi, z0))
-    return w0, rest_nodes, reduced
+    return rest_nodes, reduced
+
+
+def _levels(nodes, targets):
+    """The Schur reduction as (nodes, targets) per level: the data, then
+    each one-point reduction, ending at one node or at a unimodular pivot.
+    Level k's (nodes[0], targets[0]) is the k-th step of the chain."""
+    while True:
+        yield nodes, targets
+        if len(nodes) == 1 or abs(targets[0]) >= DEGENERATE_THRESHOLD:
+            return
+        nodes, targets = _reduce_once(nodes, targets)
 
 
 def solve_disc(nodes, targets, psd_tol: float = DEFAULT_PSD_TOL,
@@ -272,43 +302,36 @@ def solve_disc(nodes, targets, psd_tol: float = DEFAULT_PSD_TOL,
         return (result, None) if return_trace else result
 
     steps = []
-    terminal = 0j
     min_eigs = [cert.min_eigenvalue]
-    degenerate_level = None
-    cur_nodes, cur_targets = z, w
-    while True:
-        pivot = cur_targets[0]
-        if abs(pivot) >= DEGENERATE_THRESHOLD:
-            if abs(pivot) > 1.0 + 1e-8:
+    for cur_nodes, cur_targets in _levels(z, w):
+        if steps:
+            reduced_cert = certify_psd(disc_pick_matrix(cur_nodes, cur_targets),
+                                       max(psd_tol, 1e-9), rank_tol)
+            min_eigs.append(reduced_cert.min_eigenvalue)
+            if not reduced_cert.psd:
                 raise HypothesisError(
-                    f"reduced target modulus {abs(pivot):.6f} exceeds 1: "
-                    "data inconsistent with the PSD certificate"
+                    "reduced Pick matrix lost positivity during the recursion "
+                    f"(min eigenvalue {reduced_cert.min_eigenvalue:.3e})"
                 )
-            constant = pivot / abs(pivot)
-            for zi, wi in zip(cur_nodes[1:], cur_targets[1:]):
-                if abs(wi - constant) > 1e-6:
-                    raise HypothesisError(
-                        "unimodular reduced target with inconsistent siblings; "
-                        f"node {zi} wants {wi}, forced constant {constant}"
-                    )
-            terminal = constant
-            degenerate_level = len(steps)
-            break
-        if len(cur_nodes) == 1:
-            # Central choice at the last level: the free parameter is 0,
-            # so the innermost function is the constant pivot itself.
-            terminal = pivot
-            break
-        steps.append((cur_nodes[0], pivot))
-        _, cur_nodes, cur_targets = _reduce_once(cur_nodes, cur_targets)
-        reduced_cert = certify_psd(disc_pick_matrix(cur_nodes, cur_targets),
-                                   max(psd_tol, 1e-9), rank_tol)
-        min_eigs.append(reduced_cert.min_eigenvalue)
-        if not reduced_cert.psd:
+        steps.append((cur_nodes[0], cur_targets[0]))
+
+    # Central choice at the last level: the free parameter is 0, so the innermost
+    # function is the pivot itself, or the unimodular constant of a degenerate one.
+    _, pivot = steps.pop()
+    terminal, degenerate_level = pivot, None
+    if abs(pivot) >= DEGENERATE_THRESHOLD:
+        if abs(pivot) > 1.0 + 1e-8:
             raise HypothesisError(
-                "reduced Pick matrix lost positivity during the recursion "
-                f"(min eigenvalue {reduced_cert.min_eigenvalue:.3e})"
+                f"reduced target modulus {abs(pivot):.6f} exceeds 1: "
+                "data inconsistent with the PSD certificate"
             )
+        terminal, degenerate_level = pivot / abs(pivot), len(steps)
+        for zi, wi in zip(cur_nodes[1:], cur_targets[1:]):
+            if abs(wi - terminal) > 1e-6:
+                raise HypothesisError(
+                    "unimodular reduced target with inconsistent siblings; "
+                    f"node {zi} wants {wi}, forced constant {terminal}"
+                )
 
     # A zero terminal makes the innermost step the constant given by its
     # parameter (b * 0 == 0 exactly), so trailing steps collapse; this
@@ -364,30 +387,11 @@ class ParametrizationMatrix:
     def __init__(self, nodes, steps):
         self.nodes = tuple(complex(z) for z in nodes)
         self.steps = tuple((complex(a), complex(b)) for a, b in steps)
-        n11 = np.array([1.0 + 0j])
-        n12 = np.array([0j])
-        n21 = np.array([0j])
-        n22 = np.array([1.0 + 0j])
-        zeros_poly = np.array([1.0 + 0j])
-        dens_poly = np.array([1.0 + 0j])
-        for node, gamma in self.steps:
-            scale = 1.0 / np.sqrt(1.0 - abs(gamma) ** 2)
-            up = np.array([-node, 1.0]) * scale          # (z - node), normalized
-            down = np.array([1.0, -np.conj(node)]) * scale
-            a11, a12 = up, gamma * down
-            a21, a22 = np.conj(gamma) * up, down
-            # All four entries share one length per level, so plain
-            # addition of the ascending coefficient arrays is aligned.
-            m11 = np.convolve(n11, a11) + np.convolve(n12, a21)
-            m12 = np.convolve(n11, a12) + np.convolve(n12, a22)
-            m21 = np.convolve(n21, a11) + np.convolve(n22, a21)
-            m22 = np.convolve(n21, a12) + np.convolve(n22, a22)
-            n11, n12, n21, n22 = m11, m12, m21, m22
-            zeros_poly = np.convolve(zeros_poly, np.array([-node, 1.0]))
-            dens_poly = np.convolve(dens_poly, np.array([1.0, -np.conj(node)]))
-        self._n = (n11, n12, n21, n22)
-        self._zeros_poly = zeros_poly
-        self._dens_poly = dens_poly
+        self._n = _step_chain(self.steps)
+        self._zeros_poly = self._dens_poly = np.array([1.0 + 0j])
+        for node, _ in self.steps:
+            self._zeros_poly = np.convolve(self._zeros_poly, np.array([-node, 1.0]))
+            self._dens_poly = np.convolve(self._dens_poly, np.array([1.0, -np.conj(node)]))
 
     @staticmethod
     def _eval(poly, z):
@@ -440,17 +444,12 @@ def _strict_steps(nodes, targets, psd_tol, rank_tol):
             "Pick matrix is rank deficient: the solution is unique; use solve_disc"
         )
     steps = []
-    cur_nodes, cur_targets = z, w
-    for _ in range(len(z)):
-        pivot = cur_targets[0]
-        if abs(pivot) >= DEGENERATE_THRESHOLD:
+    for cur_nodes, cur_targets in _levels(z, w):
+        if abs(cur_targets[0]) >= DEGENERATE_THRESHOLD:
             raise HypothesisError(
                 "degenerate reduction: the solution is unique; use solve_disc"
             )
-        steps.append((cur_nodes[0], pivot))
-        if len(cur_nodes) == 1:
-            break
-        _, cur_nodes, cur_targets = _reduce_once(cur_nodes, cur_targets)
+        steps.append((cur_nodes[0], cur_targets[0]))
     return z, steps
 
 
@@ -513,13 +512,13 @@ class DirichletSearchReport:
 
 
 def search_dirichlet_solution(problem: InterpolationProblem, h_family,
-                              trunc: int = 8, sigma0: float = 1.0,
-                              t_span: float = 5.0, samples: int = 64) -> DirichletSearchReport:
+                              trunc: int = 8, sigma0: float = 1.0) -> DirichletSearchReport:
     """Fit parametrized solutions by Dirichlet polynomials on a vertical line.
 
-    The problem's nodes must lie in Re > 1/2 and satisfy the half-plane
-    Pick condition strictly (the parametrization hypothesis); the zeta-side
-    condition is reported but not required.
+    The fit samples _FIT_SAMPLES equispaced points s = sigma0 + i t with
+    |t| <= _FIT_T_SPAN.  The problem's nodes must lie in Re > 1/2 and
+    satisfy the half-plane Pick condition strictly (the parametrization
+    hypothesis); the zeta-side condition is reported but not required.
     """
     if not sigma0 > 0.5:
         raise DomainError("sampling line must satisfy sigma0 > 1/2")
@@ -534,10 +533,10 @@ def search_dirichlet_solution(problem: InterpolationProblem, h_family,
     disc_nodes = [cayley(z) for z in problem.nodes]
     par = parametrization_matrix(disc_nodes, problem.targets,
                                  problem.psd_tol, problem.rank_tol)
-    t = np.linspace(-t_span, t_span, samples)
+    t = np.linspace(-_FIT_T_SPAN, _FIT_T_SPAN, _FIT_SAMPLES)
     s_line = sigma0 + 1j * t
     z_line = (s_line - 1.0) / (s_line + 1.0)
-    basis = np.exp(-np.outer(s_line, np.log(np.arange(1, trunc + 1, dtype=float))))
+    basis = power_section(s_line, trunc)
     z_nodes = np.array(disc_nodes)
     w_nodes = np.array(problem.targets, dtype=complex)
 
@@ -549,7 +548,7 @@ def search_dirichlet_solution(problem: InterpolationProblem, h_family,
         node_vals = par.phi(h, z_nodes)
         entries.append(DirichletFitEntry(
             label=str(label),
-            residual_rms=float(np.linalg.norm(resid) / np.sqrt(samples)),
+            residual_rms=float(np.linalg.norm(resid) / np.sqrt(_FIT_SAMPLES)),
             residual_max=float(np.abs(resid).max()),
             node_defect=float(np.abs(node_vals - w_nodes).max()),
             coeffs=coeffs,

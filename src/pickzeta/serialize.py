@@ -65,7 +65,7 @@ def decode_kernel(data) -> KernelSpec:
     if not isinstance(data, dict) or "kind" not in data:
         raise ValidationError("kernel must be an object with a 'kind' field")
     kind = data["kind"]
-    power = int(data.get("power", 1))
+    power = _count(data, "power", 1, "kernel") if "power" in data else 1
     coeffs = None
     if "coeffs" in data:
         coeffs = CoefficientSeries(decode_vector(data["coeffs"]))
@@ -192,10 +192,11 @@ def encode_model(model: RealizationModel) -> dict:
     }
 
 
-def _model_count(data, name: str, least: int) -> int:
+def _count(data, name: str, least: int, owner: str) -> int:
+    """data[name] as a JSON integer >= least (not a bool, float or string)."""
     value = data.get(name)
     if type(value) is not int or value < least:
-        raise ValidationError(f"model field {name!r} must be an integer >= {least}; got {value!r}")
+        raise ValidationError(f"{owner} field {name!r} must be an integer >= {least}; got {value!r}")
     return value
 
 
@@ -205,8 +206,8 @@ def decode_model(data) -> RealizationModel:
     if data.get("schema") != MODEL_SCHEMA:
         raise ValidationError(
             f"model field 'schema' is {data.get('schema')!r}; expected {MODEL_SCHEMA!r}")
-    trunc = _model_count(data, "trunc", 1)
-    rank = _model_count(data, "rank", 0)
+    trunc = _count(data, "trunc", 1, "model")
+    rank = _count(data, "rank", 0, "model")
     alpha = decode_complex(data["alpha"])
     if not (np.isfinite(alpha) and abs(alpha) > 1.0):
         raise ValidationError(f"model field 'alpha' must be finite with |alpha| > 1; got {alpha}")

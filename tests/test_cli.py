@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import pickzeta
+from pickzeta import ValidationError
 from pickzeta.cli import main, parse_complex, parse_m_range
 from pickzeta.serialize import (
     decode_model,
@@ -61,6 +62,11 @@ class TestParsing:
         assert parse_complex("-0.7i") == -0.7j
         assert parse_complex("3+1j") == 3 + 1j
 
+    @pytest.mark.parametrize("text", ["2+1e400i", "2+nani", "nan", "1e400"])
+    def test_parse_complex_rejects_non_finite(self, text):
+        with pytest.raises(ValidationError, match="not finite"):
+            parse_complex(text)
+
     def test_parse_m_range(self):
         assert parse_m_range("3") == [3]
         assert parse_m_range("1..5") == [1, 2, 3, 4, 5]
@@ -84,6 +90,17 @@ class TestZetaCommand:
         code, out = run_cli(capsys, "zeta", "--s", "0.9")
         assert code == 2
         assert json.loads(out)["kind"] == "DomainError"
+
+    @pytest.mark.parametrize("s,kind", [
+        ("2+1e30i", "AccuracyError"),
+        ("2+1e200i", "AccuracyError"),
+        ("2+1e400i", "ValidationError"),
+        ("2+nani", "ValidationError"),
+    ])
+    def test_huge_or_non_finite_imaginary_part_exit_2(self, capsys, s, kind):
+        code, out = run_cli(capsys, "zeta", "--s", s)
+        assert code == 2
+        assert json.loads(out)["kind"] == kind
 
     def test_deterministic_bytes(self, capsys):
         _, first = run_cli(capsys, "zeta", "--s", "2.5", "--s", "3+1i")
@@ -137,6 +154,37 @@ class TestPickCheckCommand:
     def test_missing_file_exit_2(self, capsys):
         code, _ = run_cli(capsys, "pick-check", "/nonexistent/problem.json")
         assert code == 2
+
+    @pytest.mark.parametrize("power", [2.7, True, "2"])
+    def test_non_integer_kernel_power_exit_2(self, capsys, tmp_path, power):
+        path = tmp_path / "power.json"
+        path.write_text(json.dumps({
+            "nodes": [[1.0, 0.0], [2.0, 0.0]], "targets": [[0.0, 0.0], [0.4, 0.0]],
+            "kernel": {"kind": "zeta_power", "power": power},
+        }))
+        code, out = run_cli(capsys, "pick-check", str(path))
+        assert code == 2
+        err = json.loads(out)
+        assert err["kind"] == "ValidationError"
+        assert "power" in err["error"]
+
+    @pytest.mark.parametrize("command", ["pick-check", "solve"])
+    @pytest.mark.parametrize("field,text", [
+        ("nodes", '[[1.0, 0.0], [Infinity, 0.0]]'),
+        ("targets", '[[0.0, 0.0], [NaN, 0.0]]'),
+        ("psd_tol", "NaN"),
+        ("rank_tol", "Infinity"),
+    ])
+    def test_non_finite_problem_values_exit_2(self, capsys, tmp_path, command, field, text):
+        fields = {"nodes": "[[1.0, 0.0], [2.0, 0.0]]", "targets": "[[0.0, 0.0], [0.2, 0.0]]",
+                  "kernel": '{"kind": "szego_half_plane"}', field: text}
+        path = tmp_path / "nonfinite.json"
+        path.write_text("{" + ", ".join(f'"{k}": {v}' for k, v in fields.items()) + "}")
+        code, out = run_cli(capsys, command, str(path))
+        assert code == 2
+        err = json.loads(out)
+        assert err["kind"] == "ValidationError"
+        assert field in err["error"]
 
 
 class TestCounterexampleCommand:

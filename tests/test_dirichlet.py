@@ -69,6 +69,13 @@ class TestZeta:
         with pytest.raises(AccuracyError):
             zeta(1.0 + 2e-6, target_abs_err=1e-13)
 
+    @pytest.mark.parametrize("s", [2 + 1e9j, 2 + 1e30j, 2 + 1e200j, complex(2.0, float("inf"))])
+    def test_accuracy_error_when_cutoff_is_huge_or_not_finite(self, s):
+        # |Im s| / 3 exceeds the cutoff cap; at 1e30 the rising factorial
+        # overflows to inf and at 1e200 to nan.
+        with pytest.raises(AccuracyError, match="cutoff"):
+            zeta(s)
+
     def test_zeta_ratio_below_eight_ninths(self):
         # zeta(3)^2 / (zeta(2) zeta(4)) < 8/9 with a rigorous error budget:
         # each factor carries error at most 1e-10, so the quotient moves by

@@ -186,3 +186,13 @@ class TestReciprocalHelpers:
     def test_zeta_reciprocal_consistency(self):
         s = 1.7 + 0.9j
         assert abs(zeta(s) * zeta_reciprocal(s) - 1.0) < 1e-12
+
+
+class TestKernelSpec:
+    @pytest.mark.parametrize("power", [2.7, 2.0, True, "2", 0])
+    def test_rejects_non_integer_powers(self, power):
+        with pytest.raises(ValidationError, match="power"):
+            zeta_power_kernel(power)
+
+    def test_accepts_numpy_integers(self):
+        assert zeta_power_kernel(np.int64(3)).power == 3

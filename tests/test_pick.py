@@ -56,6 +56,25 @@ class TestPickMatrix:
         with pytest.raises(ValidationError):
             InterpolationProblem((1.0, 1.0), (0.0, 0.1), szego_half_plane())
 
+    @pytest.mark.parametrize("value", [complex("nan"), complex(0.1, float("inf"))])
+    @pytest.mark.parametrize("field", ["nodes", "targets"])
+    def test_rejects_non_finite_nodes_and_targets(self, field, value):
+        data = {"nodes": (1.0, 2.0), "targets": (0.0, 0.1)}
+        data[field] = (data[field][0], value)
+        with pytest.raises(ValidationError, match=field):
+            InterpolationProblem(data["nodes"], data["targets"], szego_half_plane())
+
+    @pytest.mark.parametrize("field", ["psd_tol", "rank_tol"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0, -1e-10])
+    def test_rejects_bad_tolerances(self, field, value):
+        with pytest.raises(ValidationError, match=field):
+            InterpolationProblem((1.0, 2.0), (0.0, 0.1), szego_half_plane(), **{field: value})
+
+    def test_disc_pick_matrix_is_shared(self):
+        import pickzeta.pick
+        import pickzeta.schur
+        assert pickzeta.schur.disc_pick_matrix is pickzeta.pick.disc_pick_matrix
+
 
 class TestCertifyPsd:
     def test_independence_psd_side(self):

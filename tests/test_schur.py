@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pickzeta import (
     DomainError,
@@ -7,6 +9,7 @@ from pickzeta import (
     Infeasible,
     InterpolationProblem,
     RationalSchurFunction,
+    ValidationError,
     cayley,
     parametrization_matrix,
     parametrize_solutions,
@@ -260,6 +263,39 @@ class TestRationalSchurFunction:
         z = 0.37 - 0.21j
         ratio = np.polyval(num[::-1], z) / np.polyval(den[::-1], z)
         assert abs(ratio - f(z)) < 1e-12
+
+
+    @pytest.mark.parametrize("gamma", [1.0, -1j, 1.5])
+    def test_step_parameters_must_lie_in_the_open_disc(self, gamma):
+        with pytest.raises(ValidationError, match="step parameters"):
+            RationalSchurFunction(steps=[(0.1, 0.2), (0.3, gamma)], terminal=0.5)
+
+
+_IN_DISC = st.complex_numbers(max_magnitude=0.9)
+
+
+class TestSharedStepChain:
+    """polynomials() and ParametrizationMatrix share one step-chain product."""
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(steps=st.lists(st.tuples(_IN_DISC, _IN_DISC), max_size=8),
+           terminal=st.complex_numbers(min_magnitude=0.1, max_magnitude=0.9))
+    def test_polynomials_reproduce_the_chain(self, steps, terminal):
+        f = RationalSchurFunction(steps=steps, terminal=terminal)
+        num, den = f.polynomials()
+        z = np.array([0.0, 0.5, -0.3 + 0.6j, 0.9j, -0.95])
+        ratio = np.polyval(num[::-1], z) / np.polyval(den[::-1], z)
+        assert np.abs(ratio - f(z)).max() <= 1e-12
+        assert f.degree == len(steps)
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 6))
+    def test_parametrization_extends_the_solver_chain(self, seed, n):
+        nodes, targets = _feasible_instance(np.random.default_rng(seed), n)
+        solved = solve_disc(nodes, targets)
+        central = parametrize_solutions(nodes, targets, 0)
+        assert central.steps == solved.steps + ((complex(nodes[-1]), solved.terminal),)
+        assert central.terminal == 0
 
 
 class TestDirichletSearch:

@@ -57,6 +57,15 @@ class TestKernelWire:
         with pytest.raises(ValidationError):
             decode_kernel({"kind": "mystery"})
 
+    @pytest.mark.parametrize("power", [2.7, True, "2", 0, None, 2.0])
+    def test_power_must_be_a_json_integer(self, power):
+        with pytest.raises(ValidationError, match="power"):
+            decode_kernel({"kind": "zeta_power", "power": power})
+
+    def test_power_defaults_to_one(self):
+        assert decode_kernel({"kind": "zeta_power"}).power == 1
+        assert decode_kernel({"kind": "zeta_power", "power": 3}).power == 3
+
 
 class TestProblemWire:
     def test_round_trip_equality(self):
