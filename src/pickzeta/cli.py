@@ -101,14 +101,19 @@ def cmd_zeta(args, config: RunConfig):
     return EXIT_OK, {"results": results}, rows
 
 
+def _load_problem(path: str, config: RunConfig):
+    """A problem file with the run's tolerances; the file carries none."""
+    problem = serialize.decode_problem(load_json(path))
+    return replace(problem, psd_tol=config.psd_tol, rank_tol=config.rank_tol)
+
+
 def _certificate_row(name: str, cert) -> dict:
     return {"certificate": name, "psd": cert.psd, "min_eigenvalue": cert.min_eigenvalue,
             "margin": cert.margin, "numerical_rank": cert.numerical_rank}
 
 
 def cmd_pick_check(args, config: RunConfig):
-    problem = serialize.decode_problem(load_json(args.problem))
-    problem = replace(problem, psd_tol=config.psd_tol, rank_tol=config.rank_tol)
+    problem = _load_problem(args.problem, config)
     report = {"problem": serialize.encode_problem(problem)}
     rows = []
     warnings = []
@@ -229,8 +234,7 @@ def cmd_solve(args, config: RunConfig):
             for p, v in zip(points, values)]}
         return EXIT_OK, report, rows
 
-    problem = serialize.decode_problem(load_json(args.problem))
-    problem = replace(problem, psd_tol=config.psd_tol, rank_tol=config.rank_tol)
+    problem = _load_problem(args.problem, config)
     result = solve_halfplane(problem)
     if isinstance(result, Infeasible):
         report = {
@@ -318,8 +322,7 @@ def cmd_realize(args, config: RunConfig):
 
 
 def cmd_search_dirichlet(args, config: RunConfig):
-    problem = serialize.decode_problem(load_json(args.problem))
-    problem = replace(problem, psd_tol=config.psd_tol, rank_tol=config.rank_tol)
+    problem = _load_problem(args.problem, config)
     family = [(text, parse_complex(text)) for text in args.h.split(",") if text.strip()]
     report_obj = search_dirichlet_solution(problem, family, trunc=args.fit_trunc,
                                            sigma0=args.sigma0)

@@ -85,10 +85,12 @@ class InterpolationProblem:
 class PickCertificate:
     """Eigenvalue certificate for a Hermitian matrix.
 
-    margin is the dimensionless quantity min_eig / spectral_norm (or the raw
-    minimum eigenvalue if the matrix is zero); psd follows the relative rule
-    min_eig >= -psd_tol * max(1, spectral_norm).  The witness is a unit
-    eigenvector of the minimum eigenvalue, so witness* M witness == min_eig.
+    The package's one PSD and rank rule: psd is min_eig >= -psd_tol *
+    max(1, spectral_norm), numerical_rank counts eigenvalues above rank_tol *
+    spectral_norm.  margin is min_eig / spectral_norm (or the raw minimum
+    eigenvalue if the matrix is zero).  The witness is a unit eigenvector of
+    the minimum eigenvalue, so witness* M witness == min_eig; eigenvalues
+    (ascending) and eigenvectors (columns) are the whole decomposition.
     """
 
     matrix: np.ndarray
@@ -102,6 +104,8 @@ class PickCertificate:
     psd_tol: float
     rank_tol: float
     witness: np.ndarray
+    eigenvalues: np.ndarray
+    eigenvectors: np.ndarray
     convention: str = CONVENTION
 
     @property
@@ -127,8 +131,7 @@ def certify_psd(matrix, psd_tol: float = DEFAULT_PSD_TOL,
     rank = int(np.sum(eigvals > rank_tol * spectral)) if spectral > 0 else 0
     margin = lo / spectral if spectral > 0 else lo
     inconclusive = abs(lo) < BORDERLINE_FACTOR * psd_tol * max(1.0, spectral)
-    witness = eigvecs[:, 0]
-    witness = witness / np.linalg.norm(witness)
+    witness = eigvecs[:, 0] / np.linalg.norm(eigvecs[:, 0])
     return PickCertificate(
         matrix=herm,
         min_eigenvalue=lo,
@@ -141,6 +144,8 @@ def certify_psd(matrix, psd_tol: float = DEFAULT_PSD_TOL,
         psd_tol=psd_tol,
         rank_tol=rank_tol,
         witness=witness,
+        eigenvalues=eigvals,
+        eigenvectors=eigvecs,
     )
 
 

@@ -78,8 +78,6 @@ def encode_problem(problem: InterpolationProblem) -> dict:
         "nodes": encode_vector(problem.nodes),
         "targets": encode_vector(problem.targets),
         "kernel": encode_kernel(problem.kernel),
-        "psd_tol": problem.psd_tol,
-        "rank_tol": problem.rank_tol,
     }
 
 
@@ -89,12 +87,14 @@ def decode_problem(data) -> InterpolationProblem:
     missing = {"nodes", "targets", "kernel"} - set(data)
     if missing:
         raise ValidationError(f"problem is missing fields: {sorted(missing)}")
+    tolerances = sorted({"psd_tol", "rank_tol"} & set(data))
+    if tolerances:
+        raise ValidationError(f"problem fields {tolerances} are not accepted: tolerances "
+                              "come from --tol (psd_tol) or the config file")
     return InterpolationProblem(
         nodes=tuple(decode_vector(data["nodes"])),
         targets=tuple(decode_vector(data["targets"])),
         kernel=decode_kernel(data["kernel"]),
-        psd_tol=float(data.get("psd_tol", 1e-10)),
-        rank_tol=float(data.get("rank_tol", 1e-8)),
     )
 
 

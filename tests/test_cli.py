@@ -187,6 +187,23 @@ class TestPickCheckCommand:
         assert field in err["error"]
 
 
+    @pytest.mark.parametrize("command", ["pick-check", "solve", "search-dirichlet"])
+    @pytest.mark.parametrize("field", ["psd_tol", "rank_tol"])
+    def test_problem_file_tolerances_exit_2(self, capsys, tmp_path, command, field):
+        # psd_tol 0.5 would make the witness matrix (min eigenvalue -8.5e-3)
+        # PSD; tolerances come only from --tol and the config file.
+        path = tmp_path / "tol.json"
+        path.write_text(json.dumps({
+            "nodes": [[1.0, 0.0], [2.0, 0.0]], "targets": [[0.0, 0.0], [0.4, 0.0]],
+            "kernel": {"kind": "szego_half_plane"}, field: 0.5,
+        }))
+        code, out = run_cli(capsys, command, str(path))
+        assert code == 2
+        err = json.loads(out)
+        assert err["kind"] == "ValidationError"
+        assert field in err["error"] and "--tol" in err["error"]
+
+
 class TestCounterexampleCommand:
     def test_range_all_pass(self, capsys):
         code, out = run_cli(capsys, "counterexample", "--m", "1..5", "--w2", "0.4")
@@ -398,6 +415,42 @@ class TestRealizeCommand:
         code, out = run_cli(capsys, "realize", "--verify", str(model_path))
         assert code == 0
         assert json.loads(out)["passed"] is True
+
+    @pytest.mark.parametrize("coeffs, passed, error", [
+        ([[0.0, 0.0], [0.5, 0.0]], False, "|T^-1| |D| = 1.006394 >= 1"),
+        ([[0.0, 0.0], [0.0, 0.0], [0.7, 0.0]], True, None),
+    ])
+    def test_verify_near_half_at_truncation_32(self, capsys, tmp_path, coeffs, passed, error):
+        # Re = 0.505 at truncation 32: the Neumann certificate is the only
+        # gate, so the verdict depends on |D| (1 for the first model, 0.785
+        # for the second).
+        phi_path = tmp_path / "phi.json"
+        phi_path.write_text(json.dumps({"coeffs": coeffs}))
+        points = "1.05,1.4+0.3i,1.9-0.25i,2.6" if len(coeffs) == 2 else "1.3"
+        model_path = tmp_path / "model.json"
+        code, _ = run_cli(capsys, "realize", "--phi", str(phi_path), "--points", points,
+                          "--trunc", "32", "--build-tol", "1", "--model-out", str(model_path))
+        assert code == 0
+        code, out = run_cli(capsys, "realize", "--verify", str(model_path),
+                            "--grid", "0.505,1.3")
+        report = json.loads(out)
+        assert (code, report["passed"]) == ((0, True) if passed else (1, False))
+        assert report["evaluation_error"] == (error and f"invertibility certificate failed: {error}")
+
+    def test_no_sample_points_exit_2(self, capsys, phi_file):
+        code, out = run_cli(capsys, "realize", "--phi", phi_file, "--points", ",")
+        assert code == 2
+        assert "at least one sample point" in json.loads(out)["error"]
+
+    def test_empty_verification_grid_exit_2(self, capsys, tmp_path, phi_file):
+        model_path = tmp_path / "model.json"
+        run_cli(capsys, "realize", "--phi", phi_file, "--points", "1.05,1.5",
+                "--trunc", "32", "--build-tol", "1", "--model-out", str(model_path))
+        code, out = run_cli(capsys, "realize", "--verify", str(model_path), "--grid", ",")
+        assert code == 2
+        err = json.loads(out)
+        assert err["kind"] == "ValidationError"
+        assert "verification grid" in err["error"]
 
     @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
     def test_bad_build_tol_exit_2(self, capsys, tmp_path, phi_file, tol):

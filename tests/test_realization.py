@@ -2,6 +2,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pickzeta import (
     DirichletMultiplier,
@@ -9,7 +11,9 @@ from pickzeta import (
     HypothesisError,
     IllConditionedError,
     TruncationError,
+    ValidationError,
     build_realization,
+    certify_psd,
     defect_gram,
     evaluate_realization,
     feature_transfer,
@@ -63,6 +67,8 @@ class TestDefectGram:
         phi = DirichletMultiplier.monomial(0.5)
         with pytest.raises(DomainError):
             defect_gram(phi, [0.4])
+        with pytest.raises(ValidationError, match="at least one sample point"):
+            build_realization(phi, [], trunc=32)
 
 
 class TestPsdFactor:
@@ -86,6 +92,35 @@ class TestPsdFactor:
         with pytest.raises(HypothesisError):
             psd_factor(np.diag([1.0, -0.5]))
 
+    def test_rejects_negative_definite(self):
+        with pytest.raises(HypothesisError, match="not a contractive multiplier"):
+            psd_factor(np.diag([-1.0, -2.0]))
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 8),
+           log_scale=st.floats(-6.0, 6.0), shift=st.floats(-30.0, 5.0))
+    def test_order_scaled_rule_is_never_looser_than_entry_scale(self, seed, k, log_scale,
+                                                                 shift):
+        # A random Hermitian matrix whose smallest eigenvalue sits at
+        # shift * tol * max(1, scale), around the verdict threshold.
+        tol = 1e-10
+        rng = np.random.default_rng(seed)
+        q, _ = np.linalg.qr(rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k)))
+        scale = 10.0 ** log_scale
+        lam = np.sort(rng.uniform(0.0, scale, size=k))
+        lam += shift * tol * max(1.0, scale) - lam[0]
+        m = (q * lam) @ q.conj().T
+        m = 0.5 * (m + m.conj().T)
+        cert = certify_psd(m, tol / k, tol)
+        if cert.psd:
+            assert cert.min_eigenvalue >= -tol * max(1.0, float(np.abs(m).max()))
+        try:
+            psi, r = psd_factor(m, tol)
+        except HypothesisError:
+            assert not cert.psd
+        else:
+            assert cert.psd and r == cert.numerical_rank and psi.shape == (k, r)
+
 
 class TestFeatureTransfer:
     def test_certified_bounds_at_sigma_one(self):
@@ -104,6 +139,12 @@ class TestFeatureTransfer:
         assert t.inverse_norm < 1.0
         # The simpler diagonal comparison also holds:
         assert z < z + zeta_reciprocal(2.0 * sigma).real
+
+    def test_finite_truncation_may_exceed_the_limit_bound(self):
+        t = feature_transfer(0.505, 2.0, 32)
+        assert t.section_ratio == pytest.approx(1.0064, abs=1e-4)
+        assert t.section_ratio > t.eps_tilde
+        assert t.inverse_norm == t.section_ratio
 
     def test_alpha_must_exceed_one(self):
         with pytest.raises(DomainError):
@@ -217,6 +258,19 @@ class TestBuildRealization:
         assert model.d_norm() == pytest.approx(d_norm, rel=1e-12)
         assert model.contraction_sigma() == pytest.approx(sigma, rel=1e-12)
 
+    def test_defect_gram_is_decomposed_once(self, monkeypatch):
+        calls = []
+        for name in ("eigh", "eigvalsh"):
+            original = getattr(np.linalg, name)
+
+            def counting(*args, _name=name, _original=original, **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counting)
+        build_realization(DirichletMultiplier.monomial(0.5), POINTS, trunc=32, tol=1.0)
+        assert calls == ["eigh"]
+
     def test_gram_identity_residual_shrinks_with_truncation(self):
         phi = DirichletMultiplier.monomial(0.3)
         residuals = []
@@ -271,8 +325,9 @@ class TestDenseResolvent:
                   [0.8, 1.1 + 1j, 1.6, 2.4 - 0.5j], 64),
         "rank_one": (DirichletMultiplier.monomial(0.7, 3), [1.3], 40),
     }
-    # The truncated inverse-norm certificate fails at Re = 0.505 for some
-    # truncations (32 and 48 among them), so the models use 40 and 64.
+    # At truncations 40 and 64 the Neumann certificate holds at every
+    # point below; at 32 it fails near Re = 1/2 for models with |D| = 1
+    # (see the two test_near_half_at_truncation_32 tests).
     EVAL_POINTS = [0.505, 0.8, 1.05, 1.4 + 0.3j, 2.0, 3.5 - 4j, 0.9 + 10j]
 
     @pytest.mark.parametrize("name", MODELS)
@@ -283,6 +338,21 @@ class TestDenseResolvent:
         for s in list(points) + self.EVAL_POINTS:
             got = evaluate_realization(model, s)
             assert abs(got - dense_resolvent_value(model, s)) < 1e-12
+
+    def test_near_half_at_truncation_32_rank_one_evaluates(self):
+        # |f| / |g| = 1.0064 > eps_tilde at Re = 0.505 and truncation 32; the
+        # Neumann factor decides, and |D| = 0.785 keeps it below 1.
+        phi, points, _ = self.MODELS["rank_one"]
+        model = build_realization(phi, points, trunc=32, tol=1.0)
+        got = evaluate_realization(model, 0.505)
+        assert abs(got - dense_resolvent_value(model, 0.505)) < 1e-12
+
+    @pytest.mark.parametrize("name", ["monomial", "mixed"])
+    def test_near_half_at_truncation_32_fails_the_neumann_check(self, name):
+        phi, points, _ = self.MODELS[name]
+        model = build_realization(phi, points, trunc=32, tol=1.0)
+        with pytest.raises(HypothesisError, match=r"\|T\^-1\| \|D\| = 1\.00639"):
+            evaluate_realization(model, 0.505)
 
     @pytest.mark.parametrize("derive", [_without_gamma])
     def test_degenerate_model(self, derive):
@@ -301,6 +371,24 @@ class TestDenseResolvent:
 
 
 class TestVerification:
+    CASES = {
+        "pipeline": (lambda model: model, DirichletMultiplier.monomial(0.5), POINTS, 2000,
+                     [1.1, 1.3, 1.7, 2.1, 2.9]),
+        "scaled": (lambda model: model.scaled(1.5), DirichletMultiplier.monomial(0.5), POINTS,
+                   2000, [1.1, 1.5, 2.0]),
+        "trivial": (lambda model: model, DirichletMultiplier(np.array([1.0])), [1.0, 2.0], 64,
+                    [1.2, 1.8, 2.5]),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_psd_verdict_is_the_certificate_verdict(self, case):
+        derive, phi, points, trunc, grid = self.CASES[case]
+        report = verify_realization(derive(build_realization(phi, points, trunc=trunc)), grid)
+        cert = report.gram_certificate
+        assert report.psd_ok == (cert is not None and cert.psd)
+        if cert is not None:
+            assert cert.psd_tol == realization.PSD_SLACK / len(grid)
+
     def test_pipeline_model_passes(self):
         phi = DirichletMultiplier.monomial(0.5)
         model = build_realization(phi, POINTS, trunc=2000)

@@ -69,15 +69,21 @@ class TestKernelWire:
 
 class TestProblemWire:
     def test_round_trip_equality(self):
-        p = InterpolationProblem((1.0 + 0.5j, 2.0), (0.1, -0.2j),
-                                 zeta_power_kernel(2), psd_tol=1e-9)
+        p = InterpolationProblem((1.0 + 0.5j, 2.0), (0.1, -0.2j), zeta_power_kernel(2))
         encoded = encode_problem(p)
         back = decode_problem(json.loads(json.dumps(encoded)))
         assert back.nodes == p.nodes
         assert back.targets == p.targets
         assert back.kernel.kind == p.kernel.kind
-        assert back.psd_tol == p.psd_tol
         assert encode_problem(back) == encoded
+
+    def test_tolerances_are_not_problem_fields(self):
+        p = InterpolationProblem((1.0, 2.0), (0.0, 0.4), zeta_power_kernel(2), psd_tol=1e-9)
+        assert set(encode_problem(p)) == {"schema", "nodes", "targets", "kernel"}
+        for name in ("psd_tol", "rank_tol"):
+            data = {**encode_problem(p), name: 1e-9}
+            with pytest.raises(ValidationError, match=f"{name}.*--tol"):
+                decode_problem(data)
 
     def test_missing_fields(self):
         with pytest.raises(ValidationError):
