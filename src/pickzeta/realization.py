@@ -17,13 +17,17 @@ y side (zero on the orthogonal complement).  Splitting V into blocks
 
 where T is an explicit invertible map carrying the zeta-kernel section to
 the mobius-kernel section, and each evaluation checks the Neumann
-certificate |T^(-1)| |D| < 1 that controls the resolvent.  Everything is
-finite and all claims come with computed residuals.
+certificate |T^(-1)| |D| < 1 that controls the resolvent.  The lifts of
+k points lie in the span of the 2k sections n^(-s_i), sqrt(1 + mu(n))
+n^(-s_i) (tensor psi), so V is built, held, evaluated and verified as
+(1 + 2k * rank)-row cores in an orthonormal basis of that span.
+Everything is finite and all claims come with computed residuals.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -139,16 +143,18 @@ def psd_factor(gram, tol: float = DEFAULT_PSD_TOL):
 
 class FeatureTransfer:
     """Invertible map between truncated feature spaces sending the
-    zeta-kernel section at a point to the mobius-kernel section.
+    zeta-kernel section f = n^(-conj(point)) to the mobius-kernel section
+    g = sqrt(1 + mu(n)) f.
 
-    T = H_g (diag(d1, alpha, ..., alpha)) H_f with H_f, H_g Householder
-    reflections aligning each section with the first coordinate axis; on
-    the section T is the rank-one assignment, on the orthogonal complement
-    it is alpha times a unitary.  The inverse norm is exactly
-    max(|f| / |g|, 1/|alpha|).  section_ratio = |f| / |g| lies below eps_tilde
-    = sqrt((zeta(2 sigma)^2 + 1/2) / (zeta(2 sigma)^2 + 1)) < 1 only in the
-    limit; finite truncations near Re = 1/2 can exceed it, so evaluation
-    gates on the exact Neumann certificate |T^(-1)| |D| < 1 instead.
+    T = H_g (diag(d1, alpha, ..., alpha)) H_f with H_f, H_g the Householder
+    reflections swapping f / |f| and g / |g| with -e0 (f[0] = 1 and
+    g[0] = sqrt(2) are positive), so T^(-1) = I / alpha + E G E* with
+    E = [e0, f, g]: ``sections`` keeps the rows f* and g* of E*, and three
+    sums over n <= trunc fix the 3 x 3 ``inverse_coeffs`` G and the exact
+    inverse norm max(|f| / |g|, 1/|alpha|).  section_ratio = |f| / |g| lies
+    below eps_tilde < 1 only in the limit; finite truncations near
+    Re = 1/2 can exceed it, so evaluation gates on the exact Neumann
+    certificate |T^(-1)| |D| < 1 instead.
     """
 
     def __init__(self, point: complex, alpha: complex = DEFAULT_ALPHA,
@@ -166,79 +172,38 @@ class FeatureTransfer:
         self.alpha = complex(alpha)
         self.trunc = int(trunc)
 
-        f = power_section(np.conj(point), trunc)
-        g = mu_sqrt * f
-        self.section_norm = float(np.linalg.norm(f))
-        self.image_norm = float(np.linalg.norm(g))
-        fh = f / self.section_norm
-        gh = g / self.image_norm
-        mu_f = fh[0] / abs(fh[0])
-        mu_g = gh[0] / abs(gh[0])
-        self._vf = fh.copy()
-        self._vf[0] += mu_f
-        self._vf_scale = 2.0 / float(np.vdot(self._vf, self._vf).real)
-        self._vg = gh.copy()
-        self._vg[0] += mu_g
-        self._vg_scale = 2.0 / float(np.vdot(self._vg, self._vg).real)
-        self.d1 = (self.image_norm / self.section_norm) * np.conj(mu_f) * mu_g
-        self._f = f
-        self._g = g
+        f_star = power_section(point, trunc)  # conj(f), as mu_sqrt is real
+        self.sections = np.stack([f_star, mu_sqrt * f_star])
+        nf = self.section_norm = float(np.linalg.norm(f_star))
+        ng = self.image_norm = float(np.linalg.norm(self.sections[1]))
+        self.section_ratio = nf / ng
+        self.d1 = ng / nf
+        # H_f = I - c_f v_f v_f* with v_f = e0 + f / |f| and c_f = 2 / |v_f|^2,
+        # likewise H_g; in the coordinates of [e0, f / |f|, g / |g|],
+        # v_f = (1, 1, 0) and v_g = (1, 0, 1).
+        cf = nf / (nf + 1.0)
+        cg = ng / (ng + np.sqrt(2.0))
+        fg = float(np.vdot(f_star, self.sections[1]).real)
+        vf_vg = 1.0 + 1.0 / nf + np.sqrt(2.0) / ng + fg / (nf * ng)
+        vf, vg = np.array([1.0, 1.0, 0.0]), np.array([1.0, 0.0, 1.0])
+        # H_f H_g / alpha less I / alpha, plus (1/d1 - 1/alpha) (H_f e0) (H_g e0)*.
+        coeffs = (cf * cg * vf_vg * np.outer(vf, vg) - cf * np.outer(vf, vf)
+                  - cg * np.outer(vg, vg)) / self.alpha
+        coeffs[1, 2] += 1.0 / self.d1 - 1.0 / self.alpha
+        scale = np.array([1.0, nf, ng])
+        self.inverse_coeffs = coeffs / np.outer(scale, scale)
 
-        z = zeta(2.0 * point.real).real
-        self.eps_tilde = float(np.sqrt((z * z + 0.5) / (z * z + 1.0)))
-        self.section_ratio = self.section_norm / self.image_norm
+    @property
+    def eps_tilde(self) -> float:
+        """sqrt((zeta(2 sigma)^2 + 1/2) / (zeta(2 sigma)^2 + 1)) < 1, the limit
+        of section_ratio's bound; computed on access, as it gates nothing."""
+        z = zeta(2.0 * self.point.real).real
+        return float(np.sqrt((z * z + 0.5) / (z * z + 1.0)))
 
     @property
     def inverse_norm(self) -> float:
         """Exact norm of the inverse map, max(|f|/|g|, 1/|alpha|)."""
         return max(self.section_ratio, 1.0 / abs(self.alpha))
-
-    def apply(self, mat: np.ndarray) -> np.ndarray:
-        """T applied columnwise to an (N, r) block, reflection by reflection."""
-        mat = np.asarray(mat, dtype=complex)
-        out = mat - np.outer(self._vf, self._vf_scale * (np.conj(self._vf) @ mat))
-        out[0] *= self.d1
-        out[1:] *= self.alpha
-        return out - np.outer(self._vg, self._vg_scale * (np.conj(self._vg) @ out))
-
-    def inverse_factors(self):
-        """(U, C, V) with T^(-1) = I / alpha + U C V*, U and V of shape (N, 3).
-
-        T^(-1) = H_f diag(1/d1, 1/alpha, ...) H_g.  The 1/alpha identity part
-        passes through H_f H_g as I - c_f v_f v_f* - c_g v_g v_g*
-        + c_f c_g (v_f* v_g) v_f v_g*, and the first coordinate adds
-        (1/d1 - 1/alpha) (H_f e0) (H_g e0)*; so U = [v_f, v_g, H_f e0] and
-        V = [v_f, v_g, H_g e0].
-        """
-        cf, cg, alpha = self._vf_scale, self._vg_scale, self.alpha
-        hf_e0 = -cf * np.conj(self._vf[0]) * self._vf
-        hf_e0[0] += 1.0
-        hg_e0 = -cg * np.conj(self._vg[0]) * self._vg
-        hg_e0[0] += 1.0
-        c = np.zeros((3, 3), dtype=complex)
-        c[0, 0] = -cf / alpha
-        c[1, 1] = -cg / alpha
-        c[0, 1] = cf * cg * np.vdot(self._vf, self._vg) / alpha
-        c[2, 2] = 1.0 / self.d1 - 1.0 / alpha
-        # Row-stacked, so U* and V* are C-contiguous for the block products.
-        return (np.stack([self._vf, self._vg, hf_e0]).T, c,
-                np.stack([self._vf, self._vg, hg_e0]).T)
-
-    def apply_inverse(self, mat: np.ndarray) -> np.ndarray:
-        """T^(-1) applied columnwise to an (N, r) block, in its rank-3 form."""
-        mat = np.asarray(mat, dtype=complex)
-        u, c, v = self.inverse_factors()
-        return mat / self.alpha + u @ (c @ (v.conj().T @ mat))
-
-    def section(self) -> np.ndarray:
-        return self._f.copy()
-
-    def image_section(self) -> np.ndarray:
-        return self._g.copy()
-
-    def as_matrix(self) -> np.ndarray:
-        """Dense N x N matrix; intended for small truncations in tests."""
-        return self.apply(np.eye(self.trunc, dtype=complex))
 
 
 def feature_transfer(point, alpha: complex = DEFAULT_ALPHA, trunc: int = 1000,
@@ -246,21 +211,42 @@ def feature_transfer(point, alpha: complex = DEFAULT_ALPHA, trunc: int = 1000,
     return FeatureTransfer(point, alpha, trunc, mu_sqrt)
 
 
+class FeatureSpan(NamedTuple):
+    """Thin QR [Z | diag(mu_sqrt) Z] = q [r_zeta | r_mobius] of the sample
+    sections z_i = n^(-s_i), n <= trunc; q is trunc x m with m = min(trunc,
+    2k), and diag(R) >= 0 makes it a function of the sections."""
+
+    q: np.ndarray
+    r_zeta: np.ndarray
+    r_mobius: np.ndarray
+
+
+def feature_span(points, mu_sqrt: np.ndarray) -> FeatureSpan:
+    z = power_section(np.asarray(points, dtype=complex), mu_sqrt.size)
+    q, r = np.linalg.qr(np.vstack([z, mu_sqrt * z]).T)
+    # LAPACK leaves diag(R) real; flipping signs is exact.
+    sign = np.where(np.diagonal(r).real < 0.0, -1.0, 1.0)
+    q, r = q * sign, sign[:, None] * r
+    return FeatureSpan(q, r[:, :len(z)], r[:, len(z):])
+
+
 @dataclass(frozen=True)
 class RealizationModel:
     """The partial isometry V = [[a, beta*], [gamma, D]] together with the
     data needed to rebuild transfer maps and rerun certificates.
 
-    V is stored as its two factors, V = v_left @ v_right*, both of shape
-    (1 + trunc * rank, k) with k the number of sample points (k = 1 for
-    the rank-0 model [[a]] [[1]]*); the factor columns keep models with
-    large feature truncations tractable.  The blocks are read from them:
-    a = v_left[0] v_right[0]*, D = d_left d_right* with the views
-    d_left = v_left[1:] and d_right = v_right[1:], and the vectors
-    beta = d_right conj(v_left[0]) and gamma = d_left conj(v_right[0]),
-    which are formed on each access.
+    Every lift lies in the range of the isometry B = blockdiag(1, Q (x) I_r)
+    with Q = span.q (FeatureSpan), so V = B v_left v_right* B*: the stored
+    factors are its cores, of shape (1 + m * rank, k) for k sample points
+    and m = min(trunc, 2k), where row 1 + a * rank + j pairs column a of Q
+    with coordinate j of psi (k = 1 for the rank-0 model [[a]] [[1]]*).
+    ``span`` is derived from points and trunc at build or decode, never
+    stored.  a = v_left[0] v_right[0]*; the dense d_left, d_right (trunc *
+    rank rows), D = d_left d_right*, beta = d_right conj(v_left[0]) and
+    gamma = d_left conj(v_right[0]) are formed on each access, for
+    independent checks only.
 
-    The factors are made read-only (not copied) on construction, so
+    The arrays are made read-only (not copied) on construction, so
     d_norm(), contraction_sigma() and block_gram() compute their values
     once per instance and keep them.  They never read ``certificates``: a
     model decoded from a file, or derived through scaled() or replace(),
@@ -275,12 +261,18 @@ class RealizationModel:
     v_left: np.ndarray
     v_right: np.ndarray
     mu_sqrt: np.ndarray
+    span: FeatureSpan
     certificates: dict
     multiplier: DirichletMultiplier | None = None
 
     def __post_init__(self):
-        for name in ("psi", "v_left", "v_right", "mu_sqrt"):
-            getattr(self, name).flags.writeable = False
+        for arr in (self.psi, self.v_left, self.v_right, self.mu_sqrt, *self.span):
+            arr.flags.writeable = False
+
+    def _dense(self, core: np.ndarray) -> np.ndarray:
+        """(Q (x) I_r) core for the feature rows of a core factor."""
+        q, k = self.span.q, core.shape[1]
+        return (q @ core.reshape(q.shape[1], self.rank * k)).reshape(-1, k)
 
     @property
     def a(self) -> complex:
@@ -288,26 +280,26 @@ class RealizationModel:
 
     @property
     def d_left(self) -> np.ndarray:
-        return self.v_left[1:]
+        return self._dense(self.v_left[1:])
 
     @property
     def d_right(self) -> np.ndarray:
-        return self.v_right[1:]
+        return self._dense(self.v_right[1:])
 
     @property
     def beta(self) -> np.ndarray:
-        return self.d_right @ np.conj(self.v_left[0])
+        return self._dense(self.v_right[1:] @ np.conj(self.v_left[:1]).T).ravel()
 
     @property
     def gamma(self) -> np.ndarray:
-        return self.d_left @ np.conj(self.v_right[0])
+        return self._dense(self.v_left[1:] @ np.conj(self.v_right[:1]).T).ravel()
 
     # Each cached value is kept in the instance __dict__ under a name that
     # is not a dataclass field, so replace() and scaled() start without it.
     def d_norm(self) -> float:
         """Spectral norm of D, computed on the first call only."""
         if "_d_norm" not in self.__dict__:
-            norm = _factored_norm(self.d_left, self.d_right) if self.rank else 0.0
+            norm = _factored_norm(self.v_left[1:], self.v_right[1:]) if self.rank else 0.0
             object.__setattr__(self, "_d_norm", norm)
         return self.__dict__["_d_norm"]
 
@@ -319,9 +311,10 @@ class RealizationModel:
 
     def block_gram(self) -> np.ndarray:
         """K = d_right* d_left, the point-independent part of every
-        evaluation; computed on the first call only."""
+        evaluation, from the cores; computed on the first call only."""
         if "_block_gram" not in self.__dict__:
-            object.__setattr__(self, "_block_gram", self.d_right.conj().T @ self.d_left)
+            object.__setattr__(self, "_block_gram",
+                               self.v_right[1:].conj().T @ self.v_left[1:])
         return self.__dict__["_block_gram"]
 
     def scaled(self, scale: float) -> "RealizationModel":
@@ -332,21 +325,42 @@ class RealizationModel:
         return replace(self, v_left=v_left)
 
 
-def _lifted_vectors(points, psi, mu_sqrt):
-    """Second components of the lifts, one column per point:
-    zeta-feature(s_i) (x) psi_i and mobius-feature(s_i) (x) psi_i."""
-    zf = power_section(np.asarray(points, dtype=complex), mu_sqrt.size)
-    x2 = zf[:, :, None] * psi[:, None, :]
-    y2 = (mu_sqrt * zf)[:, :, None] * psi[:, None, :]
-    return x2.reshape(len(psi), -1).T, y2.reshape(len(psi), -1).T
+def _lifts(span: FeatureSpan, psi: np.ndarray):
+    """Cores of the lifts, one column per point: x_i = (1, r_zeta e_i (x)
+    psi_i), and the second components r_mobius e_i (x) psi_i of the y_i."""
+    x2 = (span.r_zeta.T[:, :, None] * psi[:, None, :]).reshape(len(psi), -1)
+    y2 = (span.r_mobius.T[:, :, None] * psi[:, None, :]).reshape(len(psi), -1)
+    return np.vstack([np.ones(len(psi)), x2.T]), y2.T
+
+
+def span_residual(model: RealizationModel) -> float:
+    """max_i |x_i - P x_i| / |x_i| for the lifts x_i of the model's points,
+    psi and trunc, with P = v_right v_right*: rounding for a built model,
+    whose v_right is an orthonormal basis of span{x_i}."""
+    x = _lifts(model.span, model.psi)[0]
+    return _column_residual(model.v_right @ (model.v_right.conj().T @ x), x)
+
+
+def gram_identity_residual(model: RealizationModel) -> float:
+    """max |<x_i, x_j> - <y_i, y_j>| of the truncated lifts, recomputed from
+    points, psi and trunc alone: psi psi* = (1 - phi phi*) zeta(s_i +
+    conj(s_j)) gives the first components, and the rest is
+    (R_zeta* R_zeta - R_mobius* R_mobius) conj(psi psi*) entrywise."""
+    pp = model.psi @ model.psi.conj().T
+    zg = _defect_fill(model.points, np.zeros(len(pp)), DEFECT_ZETA_TOL)  # zeta(s_i + conj(s_j))
+    rz, rm = model.span.r_zeta, model.span.r_mobius
+    diff = np.conj(pp / zg) + (rz.conj().T @ rz - rm.conj().T @ rm) * np.conj(pp)
+    return float(np.abs(diff).max())
 
 
 def build_realization(phi: DirichletMultiplier, points, trunc: int = 1000,
                       tol: float = 1e-4) -> RealizationModel:
     """Construct the block model of a certified contractive multiplier.
 
-    ``tol`` bounds the truncated Gram-identity residual; the default suits
-    interactive truncations around 10^3, while high-accuracy runs at 10^5
+    Every step runs on the cores of the lifts (RealizationModel), whose
+    norms, QR and SVD are those of the lifts; nothing is factored from a
+    Gram.  ``tol`` bounds the truncated Gram-identity residual; the default
+    suits interactive truncations around 10^3, while high-accuracy runs at 10^5
     coefficients meet 1e-6.  Raises TruncationError when the truncation
     misses ``tol`` (with a suggested larger truncation), and
     IllConditionedError when the lifted sample vectors are numerically
@@ -364,6 +378,7 @@ def build_realization(phi: DirichletMultiplier, points, trunc: int = 1000,
     psi, rank = psd_factor(gram)
     psi = np.ascontiguousarray(psi)
     mu_sqrt = mobius_weights(trunc)
+    span = feature_span(pts, mu_sqrt)
     phi_vals = np.array([complex(phi(p)) for p in pts])
 
     if rank == 0:
@@ -379,13 +394,11 @@ def build_realization(phi: DirichletMultiplier, points, trunc: int = 1000,
         return RealizationModel(
             points=pts, trunc=trunc, rank=0, alpha=complex(DEFAULT_ALPHA), psi=psi,
             v_left=np.array([[phi_vals[0]]]), v_right=np.ones((1, 1), dtype=complex),
-            mu_sqrt=mu_sqrt, certificates=certs, multiplier=phi,
+            mu_sqrt=mu_sqrt, span=span, certificates=certs, multiplier=phi,
         )
 
-    x2, y2 = _lifted_vectors(pts, psi, mu_sqrt)
-    x = np.vstack([np.ones(len(pts)), x2])
+    x, y2 = _lifts(span, psi)
     y = np.vstack([phi_vals, y2])
-    del x2, y2  # the stacked copies replace them before the QR
     gram_x = x.conj().T @ x
     gram_y = y.conj().T @ y
     residual = float(np.abs(gram_x - gram_y).max())
@@ -409,7 +422,6 @@ def build_realization(phi: DirichletMultiplier, points, trunc: int = 1000,
     w = np.linalg.solve(r_mat.conj().T, y.conj().T).conj().T  # W R = Y
     u_svd, svals, vh_svd = np.linalg.svd(w, full_matrices=False)
     w_iso = u_svd @ vh_svd
-    del w, u_svd  # two more N-row arrays; only w_iso is needed from here
     polar_defect = float(np.abs(svals - 1.0).max())
 
     coords = q.conj().T @ x
@@ -431,7 +443,7 @@ def build_realization(phi: DirichletMultiplier, points, trunc: int = 1000,
         # C-contiguous, so evaluations of a deserialized model take the
         # same BLAS paths bit for bit.
         v_left=np.ascontiguousarray(w_iso), v_right=np.ascontiguousarray(q),
-        mu_sqrt=mu_sqrt, certificates=certs, multiplier=phi,
+        mu_sqrt=mu_sqrt, span=span, certificates=certs, multiplier=phi,
     )
     certs["sigma_max"] = model.contraction_sigma()
     certs["d_norm"] = model.d_norm()
@@ -441,21 +453,21 @@ def build_realization(phi: DirichletMultiplier, points, trunc: int = 1000,
 def evaluate_realization(model: RealizationModel, s) -> complex:
     """Evaluate a + <(T (x) I - D)^(-1) gamma, beta> at a point of Re > 1/2.
 
-    With V = v_left v_right* the blocks are a = l0 r0*, beta = d_right l0*,
-    gamma = d_left r0* and D = d_left d_right*, writing l0 = v_left[0] and
-    r0 = v_right[0].  The Woodbury identity then collapses the value to
+    Write l0 = v_left[0], r0 = v_right[0] and L, R for the feature rows of
+    the cores, so V = B v_left v_right* B* (RealizationModel).  Woodbury
+    collapses the value to
 
-        phi(s) = l0 (I_k - M)^(-1) r0*,   M = d_right* (T^(-1) (x) I) d_left.
+        phi(s) = l0 (I_k - M)^(-1) r0*,   M = R* B* (T^(-1) (x) I) B L,
 
-    With T^(-1) = I / alpha + U C V* (rank 3, FeatureTransfer.inverse_factors),
+    and with T^(-1) = I / alpha + E G E* (FeatureTransfer) and P = E* Q,
+    the 3 x m rows e0* Q, f* Q and g* Q,
 
-        M = K / alpha + sum_ab C_ab (U_a* d_right)* (V_b* d_left),
+        M = K / alpha + sum_ab G_ab ((P_a (x) I) R)* (P_b (x) I) L,
 
-    where K = model.block_gram() does not depend on s and is computed once
-    per model.  Each point then makes one pass over the two factors, with
-    three rows each, and solves one k x k system; the inverse is never
-    formed.  The Neumann certificate |T^(-1)| |D| < 1 is checked before any
-    of that work.
+    where K = model.block_gram() is computed once per model.  A point costs
+    one section f, its three norms, the 2 x trunc by trunc x m product and
+    k x k work; the inverse is never formed.  The Neumann certificate
+    |T^(-1)| |D| < 1 is checked before the product.
     """
     s = complex(s)
     if not s.real > 0.5:
@@ -471,14 +483,14 @@ def evaluate_realization(model: RealizationModel, s) -> complex:
         raise HypothesisError(
             f"invertibility certificate failed: |T^-1| |D| = {neumann:.6f} >= 1"
         )
-    u, c, v = t.inverse_factors()
-    n, r, k = model.trunc, model.rank, model.v_left.shape[1]
-    # Row n*r + j of a factor holds coordinate j of feature n, so rows (x) I
-    # contracts the leading axis of the (trunc, r * k) views.
-    left = (u.conj().T @ model.d_right.reshape(n, r * k)).reshape(3, r, k)
-    right = (v.conj().T @ model.d_left.reshape(n, r * k)).reshape(3, r, k)
-    m = model.block_gram() / model.alpha + np.einsum("ajx,ab,bjy->xy", left.conj(), c, right)
-    w = np.linalg.solve(np.eye(k) - m, np.conj(model.v_right[0]))
+    q = model.span.q
+    p = np.vstack([q[:1], t.sections @ q])
+    m, r, k = q.shape[1], model.rank, model.v_left.shape[1]
+    left = (p @ model.v_right[1:].reshape(m, r * k)).reshape(3, r, k)
+    right = (p @ model.v_left[1:].reshape(m, r * k)).reshape(3, r, k)
+    mat = model.block_gram() / model.alpha + np.einsum(
+        "ajx,ab,bjy->xy", left.conj(), t.inverse_coeffs, right)
+    w = np.linalg.solve(np.eye(k) - mat, np.conj(model.v_right[0]))
     return complex(model.v_left[0] @ w)
 
 
@@ -507,27 +519,24 @@ def verify_realization(model: RealizationModel, grid=None) -> VerificationReport
     """Certify that a model represents a contractive multiplier.
 
     The block-equation tolerance is ten times the Gram-identity residual
-    recorded at construction (floor 1e-6), matching how both quantities
-    shrink with the truncation.  psd_ok is the verdict of certify_psd at
-    PSD_SLACK / k on the defect Gram of the evaluations at k grid points.  A
-    model whose D block was tampered with fails the contraction check
-    outright and typically also the resolvent certificate.
+    (floor 1e-6), recomputed from points, psi and trunc (never read from
+    ``certificates``), matching how both quantities shrink with the
+    truncation.  psd_ok is the verdict of certify_psd at PSD_SLACK / k on
+    the defect Gram of the evaluations at k grid points.  A model whose D
+    block was tampered with fails the contraction check outright and
+    typically also the resolvent certificate.
     """
-    recorded = float(model.certificates.get("gram_identity_residual", 0.0))
-    dcon_tol = max(1e-6, 10.0 * recorded)
     grid = tuple(complex(g) for g in (grid if grid is not None else model.points))
     if not grid:
         raise ValidationError("a verification grid needs at least one point")
+    dcon_tol = max(1e-6, 10.0 * gram_identity_residual(model))
     sigma_max = model.contraction_sigma()
     contraction_ok = sigma_max <= 1.0 + CONTRACTION_TOL
 
-    dcon = 0.0
-    if model.rank > 0:
-        # The block equation gamma + D(zeta-feature (x) psi) = mobius-feature
-        # (x) psi involves only the second components; no multiplier needed.
-        x2, y2 = _lifted_vectors(model.points, model.psi, model.mu_sqrt)
-        dx = model.d_left @ (model.d_right.conj().T @ x2)
-        dcon = _column_residual(dx + model.gamma[:, None], y2)
+    # The block equation gamma + D(zeta-feature (x) psi) = mobius-feature
+    # (x) psi is the lower part of V x_i = y_i; no multiplier needed.
+    x, y2 = _lifts(model.span, model.psi)
+    dcon = _column_residual(model.v_left[1:] @ (model.v_right.conj().T @ x), y2)
     d_ok = dcon <= dcon_tol
 
     values = np.zeros(len(grid), dtype=complex)

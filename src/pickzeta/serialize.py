@@ -3,8 +3,10 @@
 Schema pickzeta/1: complex numbers are [re, im] pairs of binary64,
 matrices are row-major nested lists, field names are snake_case.  Every
 certificate carries the tolerances used and the conjugation convention.
-Realization model files are schema pickzeta/2: they hold the two factors
-v_left, v_right of the partial isometry V = v_left v_right*.
+Realization model files are schema pickzeta/3: they hold the two cores
+v_left, v_right of the partial isometry V in the basis of the sample
+sections (RealizationModel); that basis is recomputed from points and
+trunc on decoding, never stored.
 """
 
 from __future__ import annotations
@@ -17,11 +19,15 @@ from .dirichlet import CoefficientSeries
 from .errors import ValidationError
 from .kernels import DIAGONAL, KernelSpec, ZETA_POWER
 from .pick import CONVENTION, InterpolationProblem, PickCertificate
-from .realization import DirichletMultiplier, RealizationModel, mobius_weights
+from .realization import (DirichletMultiplier, RealizationModel, feature_span,
+                          mobius_weights, span_residual)
 from .schur import HalfPlaneSchurFunction, RationalSchurFunction
 
 SCHEMA = "pickzeta/1"
-MODEL_SCHEMA = "pickzeta/2"
+MODEL_SCHEMA = "pickzeta/3"
+# A decoded v_right must span the lifts of its own points, psi and trunc to
+# rounding (a built one does to about 1e-15).
+SPAN_TOL = 1e-10
 
 
 def encode_complex(z) -> list:
@@ -213,7 +219,8 @@ def decode_model(data) -> RealizationModel:
         raise ValidationError(f"model field 'alpha' must be finite with |alpha| > 1; got {alpha}")
     arrays = {
         "points": decode_vector(data["points"]),
-        "psi": decode_matrix(data["psi"]) if data.get("psi") else np.zeros((0, 0), complex),
+        "psi": (decode_matrix(data["psi"]) if data.get("psi")
+                else np.zeros((len(data["points"]), 0), complex)),
         "v_left": decode_matrix(data["v_left"]),
         "v_right": decode_matrix(data["v_right"]),
     }
@@ -222,7 +229,7 @@ def decode_model(data) -> RealizationModel:
             raise ValidationError(f"model field {name!r} has non-finite entries")
     points = tuple(arrays["points"])
     # The rank-0 model is V = [[a]] [[1]]*.
-    shape = (1 + trunc * rank, len(points) if rank else 1)
+    shape = (1 + min(trunc, 2 * len(points)) * rank, len(points) if rank else 1)
     expected = {"v_left": shape, "v_right": shape}
     if rank > 0:
         expected["psi"] = (len(points), rank)
@@ -232,7 +239,8 @@ def decode_model(data) -> RealizationModel:
                 f"model field {name!r} has shape {arrays[name].shape}, expected {want} "
                 f"for {len(points)} points, trunc {trunc}, rank {rank}")
     mult = decode_multiplier(data["multiplier"]) if data.get("multiplier") else None
-    return RealizationModel(
+    mu_sqrt = mobius_weights(trunc)
+    model = RealizationModel(
         points=points,
         trunc=trunc,
         rank=rank,
@@ -240,10 +248,17 @@ def decode_model(data) -> RealizationModel:
         psi=arrays["psi"],
         v_left=arrays["v_left"],
         v_right=arrays["v_right"],
-        mu_sqrt=mobius_weights(trunc),
+        mu_sqrt=mu_sqrt,
+        span=feature_span(points, mu_sqrt),
         certificates=dict(data.get("certificates", {})),
         multiplier=mult,
     )
+    residual = span_residual(model)
+    if not residual <= SPAN_TOL:
+        raise ValidationError(
+            f"model field 'v_right' does not span the lifts of its points, psi and trunc "
+            f"{trunc}: residual {residual:.3e} > {SPAN_TOL:.0e}")
+    return model
 
 
 def dumps_canonical(obj) -> str:

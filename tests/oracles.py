@@ -3,10 +3,12 @@
 Nothing here shares code with the package paths under test: zeta comes
 from an alternating-series acceleration and from raw partial sums with an
 integral tail bracket, divisor counts from brute-force enumeration, PSD
-instances from explicit congruences.
+instances from explicit congruences, and the realization's transfer map,
+resolvent and build from dense matrices on the explicit lifts.
 """
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -143,20 +145,55 @@ def _householder(x):
     return np.eye(x.size) - 2.0 * np.outer(v, v.conj()) / np.vdot(v, v).real, phase
 
 
-def dense_resolvent_value(model, s) -> complex:
-    """a + <(T (x) I_r - d_left d_right*)^(-1) gamma, beta> by one dense solve.
-
-    T = H_g diag(d1, alpha, ..., alpha) H_f is assembled from explicit
-    Householder matrices of the sections f = n^(-s) and g = sqrt(1 + mu) f,
-    with d1 = (|g| / |f|) conj(p_f) p_g, so that T f = g.
-    """
-    n = np.arange(1, model.trunc + 1, dtype=float)
-    f = np.exp(-complex(s) * np.log(n))
-    g = model.mu_sqrt * f
+def dense_transfer(point, alpha, mu_sqrt) -> tuple:
+    """(T, f, g) with f = n^(-conj(point)), g = sqrt(1 + mu) f and the dense
+    T = H_g diag(d1, alpha, ..., alpha) H_f assembled from explicit
+    Householder matrices, d1 = (|g| / |f|) conj(p_f) p_g, so that T f = g."""
+    n = np.arange(1, mu_sqrt.size + 1, dtype=float)
+    f = np.exp(-np.conj(complex(point)) * np.log(n))
+    g = mu_sqrt * f
     hf, pf = _householder(f)
     hg, pg = _householder(g)
-    lam = np.full(model.trunc, complex(model.alpha))
+    lam = np.full(f.size, complex(alpha))
     lam[0] = np.linalg.norm(g) / np.linalg.norm(f) * np.conj(pf) * pg
-    t = hg @ np.diag(lam) @ hf
+    return hg @ np.diag(lam) @ hf, f, g
+
+
+def dense_resolvent_value(model, s) -> complex:
+    """a + <(T (x) I_r - d_left d_right*)^(-1) gamma, beta> by one dense
+    solve, T = dense_transfer at the conjugate point (so f = n^(-s))."""
+    t = dense_transfer(np.conj(complex(s)), model.alpha, model.mu_sqrt)[0]
     m = np.kron(t, np.eye(model.rank)) - model.d_left @ model.d_right.conj().T
     return complex(model.a + np.vdot(model.beta, np.linalg.solve(m, model.gamma)))
+
+
+def dense_build(model, phi_values) -> SimpleNamespace:
+    """The realization of ``model``'s points, psi and trunc built on the
+    explicit (1 + trunc * rank)-row lifts x_i = (1, z_i (x) psi_i) and
+    y_i = (phi_i, (sqrt(1 + mu) z_i) (x) psi_i), z_i = n^(-s_i): QR of X,
+    the polar factor of Y R^-1, and the build certificates.  The result
+    has the dense block attributes that dense_resolvent_value and
+    dense_block_norm read."""
+    n = np.arange(1, model.trunc + 1, dtype=float)
+    z = np.exp(-np.multiply.outer(np.array(model.points), np.log(n)))
+    x = np.vstack([np.ones(len(z)), np.stack([np.kron(zi, p) for zi, p in zip(z, model.psi)], 1)])
+    y = np.vstack([phi_values, np.stack([np.kron(model.mu_sqrt * zi, p)
+                                         for zi, p in zip(z, model.psi)], 1)])
+    q, r = np.linalg.qr(x)
+    u, svals, vh = np.linalg.svd(y @ np.linalg.inv(r), full_matrices=False)
+    v_left, gram_x = u @ vh, x.conj().T @ x
+    vx = v_left @ (q.conj().T @ x)
+    norms = np.sqrt(np.diag(gram_x).real)
+    iso = np.abs(vx.conj().T @ vx - gram_x) / np.outer(norms, norms)
+    certs = {
+        "gram_identity_residual": float(np.abs(gram_x - y.conj().T @ y).max()),
+        "isometry_defect": float(iso.max()),
+        "d_contraction_residual": float((np.linalg.norm(vx[1:] - y[1:], axis=0)
+                                         / np.maximum(1.0, np.linalg.norm(y[1:], axis=0))).max()),
+        "polar_defect": float(np.abs(svals - 1.0).max()),
+    }
+    return SimpleNamespace(
+        v_left=v_left, v_right=q, a=complex(v_left[0] @ q[0].conj()),
+        d_left=v_left[1:], d_right=q[1:], beta=q[1:] @ v_left[0].conj(),
+        gamma=v_left[1:] @ q[0].conj(), certificates=certs, trunc=model.trunc,
+        rank=model.rank, alpha=model.alpha, mu_sqrt=model.mu_sqrt)

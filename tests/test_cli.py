@@ -350,6 +350,26 @@ class TestRealizeCommand:
         assert code == 1
         assert json.loads(out)["passed"] is False
 
+    @pytest.mark.parametrize("recorded", [None, 1e9])
+    def test_verify_takes_no_tolerance_from_the_file(self, capsys, tmp_path, phi_file,
+                                                     recorded):
+        # Rows of v_left below the first scaled by 0.9 break the block
+        # equation (residual 0.1); the file's own Gram-identity residual,
+        # even 1e9, does not set the tolerance it is judged by.
+        model_path = tmp_path / "model.json"
+        run_cli(capsys, "realize", "--phi", phi_file, "--points", "1.05,1.4+0.3i,1.9-0.25i,2.6",
+                "--trunc", "2000", "--model-out", str(model_path))
+        data = json.loads(model_path.read_text())
+        data["v_left"][1:] = [[[0.9 * re, 0.9 * im] for re, im in row]
+                              for row in data["v_left"][1:]]
+        if recorded is not None:
+            data["certificates"]["gram_identity_residual"] = recorded
+        model_path.write_text(json.dumps(data))
+        code, out = run_cli(capsys, "realize", "--verify", str(model_path))
+        report = json.loads(out)
+        assert (code, report["passed"], report["d_contraction_ok"]) == (1, False, False)
+        assert report["d_contraction_residual"] == pytest.approx(0.1, abs=1e-3)
+
     # case: (field, its wrong value)
     WRONG_SHAPES = {
         "psi": ("psi", lambda data: data["psi"][:2]),
@@ -357,6 +377,8 @@ class TestRealizeCommand:
         "v_left_column": ("v_left", lambda data: [row[:-1] for row in data["v_left"]]),
         "v_right_row": ("v_right", lambda data: data["v_right"] + data["v_right"][:1]),
         "v_right_column": ("v_right", lambda data: [row[1:] for row in data["v_right"]]),
+        # trunc fixes only the span basis, not a shape; the stored v_right
+        # then fails to span the lifts (next test).
         "trunc": ("trunc", lambda data: data["trunc"] + 1),
         "rank": ("rank", lambda data: data["rank"] - 1),
     }
@@ -378,9 +400,26 @@ class TestRealizeCommand:
         assert code == 2
         assert json.loads(out)["kind"] == "ValidationError"
 
+    # case: (field, a value of the right shape that the factors were not built for)
+    INCONSISTENT = {
+        "trunc": ("trunc", lambda data: data["trunc"] + 1),
+        "points": ("points", lambda data: [[data["points"][0][0] + 1e-3, 0.0]]
+                   + data["points"][1:]),
+        "psi": ("psi", lambda data: [[[2.0 * re, 2.0 * im] for re, im in row]
+                                     for row in data["psi"]]),
+    }
+
+    @pytest.mark.parametrize("case", INCONSISTENT)
+    def test_verify_inconsistent_basis_exit_2(self, capsys, tmp_path, phi_file, case):
+        code, out = self._verify_tampered(capsys, tmp_path, phi_file, *self.INCONSISTENT[case])
+        error = json.loads(out)
+        assert (code, error["kind"]) == (2, "ValidationError")
+        assert "'v_right' does not span the lifts" in error["error"]
+
     # case: (field, its bad value); the error must name the field.
     BAD_VALUES = {
         "schema_old": ("schema", lambda data: "pickzeta/1"),
+        "schema_dense_factors": ("schema", lambda data: "pickzeta/2"),
         "schema_null": ("schema", lambda data: None),
         "trunc_fraction": ("trunc", lambda data: data["trunc"] + 0.7),
         "rank_fraction": ("rank", lambda data: data["rank"] + 0.5),
@@ -410,7 +449,7 @@ class TestRealizeCommand:
         assert code == 0
         assert json.loads(out)["rank"] == 0
         data = json.loads(model_path.read_text())
-        assert data["schema"] == "pickzeta/2"
+        assert data["schema"] == "pickzeta/3"
         assert data["v_left"] == [[[1.0, 0.0]]] and data["v_right"] == [[[1.0, 0.0]]]
         code, out = run_cli(capsys, "realize", "--verify", str(model_path))
         assert code == 0

@@ -28,7 +28,8 @@ from pickzeta import (
 from pickzeta import realization
 from pickzeta.serialize import decode_model, encode_model
 
-from oracles import dense_block_norm, dense_resolvent_value, random_psd
+from oracles import (dense_block_norm, dense_build, dense_resolvent_value, dense_transfer,
+                     mobius_trial, random_psd)
 
 POINTS = [1.05, 1.4 + 0.3j, 1.9 - 0.25j, 2.6]
 
@@ -152,38 +153,54 @@ class TestFeatureTransfer:
 
     def test_maps_section_to_image(self):
         t = feature_transfer(1.3 - 0.7j, 2.0, 600)
-        f = t.section()
-        g = t.image_section()
-        out = t.apply(f.reshape(-1, 1)).ravel()
-        assert np.linalg.norm(out - g) <= 1e-10 * np.linalg.norm(g)
+        dense, f, g = dense_transfer(1.3 - 0.7j, 2.0, _mu_sqrt(t.trunc))
+        assert np.linalg.norm(dense @ f - g) <= 1e-10 * np.linalg.norm(g)
+        # The kept rows are f* and g*; their norms are the scalars.
+        assert np.abs(t.sections - np.conj([f, g])).max() < 1e-15
+        assert t.section_norm == pytest.approx(np.linalg.norm(f), rel=1e-14)
+        assert t.image_norm == pytest.approx(np.linalg.norm(g), rel=1e-14)
 
     def test_dense_structure(self):
         t = feature_transfer(0.8, 2.0, 40)
-        m = t.as_matrix()
+        m = dense_transfer(0.8, 2.0, _mu_sqrt(t.trunc))[0]
         sv = np.sort(np.linalg.svd(m, compute_uv=False))
         assert sv[0] == pytest.approx(min(abs(t.d1), 2.0), abs=1e-12)
         assert sv[-1] == pytest.approx(2.0, abs=1e-12)
         assert 1.0 / sv[0] == pytest.approx(t.inverse_norm, abs=1e-12)
-        inv = t.apply_inverse(np.eye(40, dtype=complex))
-        assert np.abs(inv @ m - np.eye(40)).max() < 1e-12
+        assert np.abs(_inverse_form(t) @ m - np.eye(40)).max() < 1e-12
 
     @pytest.mark.parametrize("point", [0.505, 2.8, 0.75 + 10j, 0.75 - 10j])
     def test_rank_three_inverse_matches_dense_inverse(self, point):
         t = feature_transfer(point, 2.0, 40)
-        want = np.linalg.inv(t.as_matrix())
-        u, c, v = t.inverse_factors()
-        assert u.shape == v.shape == (40, 3)
-        # Only C[0,0], C[1,1], C[0,1] and C[2,2] can be nonzero.
-        assert not c[[1, 2, 2, 0, 1], [0, 0, 1, 2, 2]].any()
-        form = np.eye(40) / t.alpha + u @ c @ v.conj().T
-        assert np.abs(form - want).max() < 1e-12
-        assert np.abs(t.apply_inverse(np.eye(40)) - want).max() < 1e-12
+        want = np.linalg.inv(dense_transfer(point, 2.0, _mu_sqrt(t.trunc))[0])
+        assert t.sections.shape == (2, 40) and t.inverse_coeffs.shape == (3, 3)
+        assert np.abs(_inverse_form(t) - want).max() < 1e-12
 
     def test_singular_value_oracle_at_sigma_one(self):
         t = feature_transfer(1.0, 2.0, 200)
-        m = t.as_matrix()
+        m = dense_transfer(1.0, 2.0, _mu_sqrt(t.trunc))[0]
         smallest = np.linalg.svd(m, compute_uv=False).min()
         assert 1.0 / smallest == pytest.approx(t.inverse_norm, abs=1e-12)
+
+    def test_construction_calls_no_zeta(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("zeta called")
+
+        monkeypatch.setattr(realization, "zeta", refuse)
+        t = feature_transfer(0.5003, 2.0, 1000)
+        assert t.inverse_norm == max(t.section_ratio, 0.5)
+        with pytest.raises(AssertionError, match="zeta called"):
+            t.eps_tilde
+
+
+def _mu_sqrt(trunc):
+    return np.sqrt([1.0 + mobius_trial(n) for n in range(1, trunc + 1)])
+
+
+def _inverse_form(t):
+    """I / alpha + E G E* with E = [e0, f, g] from the transfer's scalars."""
+    basis = np.vstack([np.eye(1, t.trunc), t.sections]).conj().T
+    return np.eye(t.trunc) / t.alpha + basis @ t.inverse_coeffs @ basis.conj().T
 
 
 class TestBuildRealization:
@@ -363,11 +380,93 @@ class TestDenseResolvent:
 
     @pytest.mark.parametrize("name", MODELS)
     def test_factors_assemble_the_block_matrix(self, name):
+        # The dense views assemble V = B v_left v_right* B*, which is the
+        # partial isometry of the dense build on the explicit lifts.
         phi, points, trunc = self.MODELS[name]
         model = build_realization(phi, points, trunc=trunc, tol=1.0)
         dense = np.block([[np.array([[model.a]]), model.beta.conj()[None, :]],
                           [model.gamma[:, None], model.d_left @ model.d_right.conj().T]])
-        assert np.abs(model.v_left @ model.v_right.conj().T - dense).max() < 1e-13
+        left = np.vstack([model.v_left[:1], model.d_left])
+        right = np.vstack([model.v_right[:1], model.d_right])
+        assert np.abs(left @ right.conj().T - dense).max() < 1e-13
+        oracle = dense_build(model, phi(np.array(points)))
+        assert np.abs(oracle.v_left @ oracle.v_right.conj().T - dense).max() < 1e-12
+
+    HELD_OUT = [1.2, 1.6 + 0.15j, 2.2 - 0.1j, 3.0, 0.9 + 10j]
+
+    @pytest.mark.parametrize("name", MODELS)
+    def test_matches_the_dense_build(self, name):
+        phi, points, trunc = self.MODELS[name]
+        model = build_realization(phi, points, trunc=trunc, tol=1.0)
+        oracle = dense_build(model, phi(np.array(points)))
+        for s in list(points) + self.HELD_OUT:
+            assert abs(evaluate_realization(model, s) - dense_resolvent_value(oracle, s)) < 1e-12
+        for key, want in oracle.certificates.items():
+            assert abs(model.certificates[key] - want) < 1e-12, key
+        d_norm, sigma = dense_block_norm(oracle)
+        assert dense_block_norm(model) == pytest.approx((d_norm, sigma), rel=1e-12)
+        assert model.certificates["d_norm"] == pytest.approx(d_norm, rel=1e-12)
+        assert model.certificates["sigma_max"] == pytest.approx(sigma, rel=1e-12)
+
+    @pytest.mark.parametrize("name", MODELS)
+    def test_near_half_needs_no_zeta(self, name):
+        # At Re = 0.5003 the limit bound eps_tilde would need zeta(1.0006),
+        # which misses its error target; the evaluation never asks for it.
+        phi, points, trunc = self.MODELS[name]
+        model = build_realization(phi, points, trunc=trunc, tol=1.0)
+        try:
+            got = evaluate_realization(model, 0.5003)
+        except HypothesisError as exc:
+            assert "|T^-1| |D|" in str(exc)
+        else:
+            assert abs(got - dense_resolvent_value(model, 0.5003)) < 1e-12
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 4), trunc=st.integers(8, 48))
+    def test_random_models_match_the_dense_build(self, seed, k, trunc):
+        rng = np.random.default_rng(seed)
+        coeffs = rng.normal(size=4) + 1j * rng.normal(size=4)
+        phi = DirichletMultiplier(0.9 * coeffs / np.abs(coeffs).sum())
+        points = (1.05 + 0.4 * np.arange(k) + rng.uniform(0.0, 0.2, k)
+                  + 1j * rng.uniform(-0.5, 0.5, k))
+        model = build_realization(phi, points, trunc=trunc, tol=10.0)
+        oracle = dense_build(model, phi(points))
+        for s in list(points) + [1.2 + 0.1j, 3.0]:
+            assert abs(evaluate_realization(model, s) - dense_resolvent_value(oracle, s)) < 1e-12
+        for key, want in oracle.certificates.items():
+            assert abs(model.certificates[key] - want) < 1e-12, key
+
+
+class TestCoreOnly:
+    """Build, evaluation and verification never form the trunc * rank-row
+    dense views; only independent checks do."""
+
+    @pytest.fixture()
+    def no_dense_views(self, monkeypatch):
+        def refuse(model):
+            raise AssertionError("a dense view was formed")
+
+        for name in ("d_left", "d_right", "beta", "gamma"):
+            monkeypatch.setattr(realization.RealizationModel, name, property(refuse))
+
+    @pytest.mark.parametrize("name", TestDenseResolvent.MODELS)
+    def test_pipeline_reads_no_dense_view(self, no_dense_views, name):
+        phi, points, trunc = TestDenseResolvent.MODELS[name]
+        model = build_realization(phi, points, trunc=trunc, tol=1.0)
+        for s in list(points) + [1.2, 3.0]:
+            evaluate_realization(model, s)
+        assert verify_realization(model).sigma_max <= 1.0 + 1e-8
+        verify_realization(model.scaled(1.5))
+        verify_realization(decode_model(encode_model(model)), [1.2, 3.0])
+        with pytest.raises(AssertionError, match="dense view"):
+            model.d_left
+
+    def test_cores_have_one_plus_2k_r_rows(self):
+        model = build_realization(DirichletMultiplier.monomial(0.5), POINTS, trunc=10**4)
+        assert model.v_left.shape == model.v_right.shape == (1 + 8 * model.rank, 4)
+        assert model.span.q.shape == (10**4, 8)
+        assert np.abs(model.span.q.conj().T @ model.span.q - np.eye(8)).max() < 1e-14
+        assert (np.diagonal(model.span.r_zeta).real >= 0).all()
 
 
 class TestVerification:
@@ -388,6 +487,16 @@ class TestVerification:
         assert report.psd_ok == (cert is not None and cert.psd)
         if cert is not None:
             assert cert.psd_tol == realization.PSD_SLACK / len(grid)
+
+    def test_block_equation_tolerance_is_recomputed(self):
+        model = build_realization(DirichletMultiplier.monomial(0.5), POINTS, trunc=2000)
+        recorded = model.certificates["gram_identity_residual"]
+        assert realization.gram_identity_residual(model) == pytest.approx(recorded, abs=1e-13)
+        forged = replace(model.scaled(0.9),
+                         certificates={**model.certificates, "gram_identity_residual": 1e9})
+        report = verify_realization(forged, [1.1, 1.5, 2.0])
+        assert report.d_contraction_residual > 0.09
+        assert not report.d_contraction_ok and not report.passed
 
     def test_pipeline_model_passes(self):
         phi = DirichletMultiplier.monomial(0.5)
@@ -502,7 +611,11 @@ class TestComputedOnce:
     @pytest.mark.parametrize("derive", DERIVED)
     def test_blocks_are_read_only(self, derive):
         model = DERIVED[derive](self._model())
-        for name in ("psi", "v_left", "v_right", "mu_sqrt", "d_left", "d_right"):
-            block = getattr(model, name)
+        for block in (model.psi, model.v_left, model.v_right, model.mu_sqrt, *model.span):
             with pytest.raises(ValueError):
                 block[(0,) * block.ndim] = 0
+        # The dense views are fresh arrays, so writing to one leaves the model alone.
+        for name in ("d_left", "d_right", "beta", "gamma"):
+            view = getattr(model, name)
+            assert not any(np.shares_memory(view, arr) for arr in
+                           (model.v_left, model.v_right, *model.span))

@@ -128,6 +128,17 @@ class TestModelWire:
         for s in (1.2, 2.0 + 0.3j):
             assert evaluate_realization(back, s) == evaluate_realization(model, s)
 
+    def test_file_at_1e5_coefficients_is_small(self):
+        # The cores have 1 + 2k * rank rows at any truncation >= 2k.
+        phi = DirichletMultiplier.monomial(0.3)
+        model = build_realization(phi, [1.05, 1.4 + 0.3j, 1.9 - 0.25j, 2.6], trunc=10**5,
+                                  tol=1e-6)
+        text = dumps_canonical(encode_model(model))
+        assert len(text.encode()) < 100_000
+        back = decode_model(json.loads(text))
+        assert np.array_equal(back.span.q, model.span.q)
+        assert evaluate_realization(back, 1.2) == evaluate_realization(model, 1.2)
+
 
 class TestCanonicalDump:
     def test_sorted_and_stable(self):
