@@ -8,6 +8,7 @@ import os
 from dataclasses import asdict, dataclass, replace
 
 from .errors import ValidationError
+from .realization import check_trunc
 
 ENV_CONFIG = "PICKZETA_CONFIG"
 
@@ -29,6 +30,7 @@ class RunConfig:
                 raise ValidationError(f"{name} must be finite and positive; got {value}")
         if self.trunc < 10:
             raise ValidationError("trunc must be at least 10")
+        check_trunc(self.trunc, "trunc")
         if self.format not in FORMATS:
             raise ValidationError(f"format must be one of {FORMATS}")
 

@@ -1,9 +1,11 @@
 """Riemann zeta evaluation and Dirichlet-series arithmetic.
 
 Everything here is elementary number theory at desk scale: zeta and its
-reciprocal on Re(s) > 1, the Mobius function, Dirichlet convolution of
-coefficient sequences, coefficients of zeta powers, and partial sums over
-smooth integers together with their Euler-product limits.
+reciprocal on Re(s) > 1, the Mobius function and the sieve table of a
+truncation (mu, sqrt(1 + mu) and multiplicative n^(-s) sections),
+Dirichlet polynomials and convolution of coefficient sequences,
+coefficients of zeta powers, and partial sums over smooth integers
+together with their Euler-product limits.
 """
 
 from __future__ import annotations
@@ -73,7 +75,10 @@ def _first_primes(count: int) -> list:
 
 
 def power_section(s, trunc: int) -> np.ndarray:
-    """The section n^(-s) for n = 1..trunc; array s adds leading axes."""
+    """The section n^(-s) for n = 1..trunc; array s adds leading axes.
+
+    One complex exp per entry: the definition, for sections whose length
+    changes per call.  Fixed truncations read a SieveTable instead."""
     logn = np.log(np.arange(1, trunc + 1, dtype=float))
     return np.exp(np.multiply.outer(-s, logn))
 
@@ -174,16 +179,83 @@ def mobius(n: int) -> int:
     return -1 if factors % 2 else 1
 
 
-def mobius_range(limit: int) -> np.ndarray:
-    """mu(0..limit) as an int array (mu(0) set to 0), by sieving."""
-    if limit < 1:
-        raise ValidationError("limit must be >= 1")
+def _sieve(limit: int):
+    """(mu, lpf) on 0..limit from the primes p <= sqrt(limit) alone.
+
+    mu is int64 with mu(0) = 0; lpf(n) is the least of those primes that
+    divides n, and 0 when none does (n = 0, 1 or a larger prime).
+    Dividing out the small primes leaves 1 or a single prime, so a
+    squarefree n has one prime factor more than its small ones exactly
+    when it exceeds their product.
+    """
+    small = _primes(math.isqrt(limit)).tolist()
     mu = np.ones(limit + 1, dtype=np.int64)
-    for p in _primes(limit):
+    radical = np.ones(limit + 1, dtype=np.int64)
+    lpf = np.zeros(limit + 1, dtype=np.int32)
+    for p in reversed(small):
+        lpf[p::p] = p
         mu[p::p] *= -1
         mu[p * p :: p * p] = 0
+        radical[p::p] *= p
+    mu[radical < np.arange(limit + 1)] *= -1
     mu[0] = 0
-    return mu
+    return mu, lpf
+
+
+def mobius_range(limit: int) -> np.ndarray:
+    """mu(0..limit) as an int64 array (mu(0) set to 0), read from the sieve
+    over the primes up to sqrt(limit) that also builds a SieveTable."""
+    if limit < 1:
+        raise ValidationError("limit must be >= 1")
+    return _sieve(limit)[0]
+
+
+class SieveTable:
+    """The trunc-length data of one truncation, from one sieve (_sieve):
+    the weights mu_sqrt = sqrt(1 + mu(n)) and n^(-s) for n = 1..trunc.
+
+    n^(-s) is completely multiplicative, so section() takes exp only at
+    the primes and one complex product f(n) = f(lpf(n)) f(n / lpf(n)) per
+    composite.  A composite 2^j <= n < 2^(j+1) has lpf(n) <= sqrt(n) and
+    n / lpf(n) <= n / 2, both below 2^j, so each dyadic block of rows is
+    one gather-multiply over finished rows: ``left`` and ``right`` index a
+    work array holding f(0..trunc) followed by exp(-s log p), one row per
+    prime p; row n is left[n] times right[n], that is (lpf(n), n / lpf(n))
+    for a composite and (the row of exp(-s log n), 1) for a prime.  The
+    arrays are int32 or float64 and read-only, so one table serves every
+    section of its truncation.
+    """
+
+    def __init__(self, trunc: int):
+        if trunc < 1:
+            raise ValidationError("trunc must be >= 1")
+        mu, lpf = _sieve(trunc)
+        n = np.arange(trunc + 1, dtype=np.int32)
+        left = np.where(lpf > 0, lpf, n)
+        primes = np.flatnonzero(left == n)[2:]
+        right = n // np.maximum(left, 1)
+        left[primes] = trunc + 1 + np.arange(primes.size)
+        right[primes] = 1
+        self.trunc = int(trunc)
+        self.mu_sqrt = np.sqrt(1.0 + mu[1:])
+        self.log_primes = np.log(primes.astype(float))
+        self.left, self.right = left, right
+        for arr in (self.mu_sqrt, self.log_primes, self.left, self.right):
+            arr.flags.writeable = False
+
+    def section(self, s) -> np.ndarray:
+        """n^(-s) for n = 1..trunc, power_section(s, trunc) to rounding;
+        array s adds leading axes.  Prime entries are bit-identical to it."""
+        s = np.asarray(s, dtype=complex)
+        rows = np.empty((self.left.size + self.log_primes.size,) + s.shape, dtype=complex)
+        rows[1] = 1.0
+        rows[self.left.size:] = np.exp(np.multiply.outer(self.log_primes, -s))
+        lo = 2
+        while lo <= self.trunc:
+            hi = min(2 * lo, self.trunc + 1)
+            np.multiply(rows[self.left[lo:hi]], rows[self.right[lo:hi]], out=rows[lo:hi])
+            lo = hi
+        return np.moveaxis(rows[1:self.trunc + 1], 0, -1)
 
 
 @dataclass(frozen=True)
@@ -227,6 +299,39 @@ class CoefficientSeries:
     @staticmethod
     def one_plus_mobius(trunc: int) -> "CoefficientSeries":
         return CoefficientSeries(1.0 + mobius_range(trunc)[1:].astype(float), "one_plus_mobius")
+
+
+@dataclass(frozen=True)
+class DirichletMultiplier:
+    """A Dirichlet polynomial c_1 + c_2 2^(-s) + ... with the sufficient
+    contractivity certificate sum |c_n| <= 1 (hence sup over Re > 0 <= 1)."""
+
+    coeffs: np.ndarray
+    label: str = ""
+
+    def __post_init__(self):
+        arr = np.asarray(self.coeffs, dtype=complex)
+        if arr.ndim != 1 or arr.size < 1:
+            raise ValidationError("multiplier needs a nonempty coefficient vector")
+        object.__setattr__(self, "coeffs", arr)
+
+    @property
+    def declared_norm(self) -> float:
+        return float(np.abs(self.coeffs).sum())
+
+    @property
+    def certified(self) -> bool:
+        return self.declared_norm <= 1.0 + 1e-14
+
+    def __call__(self, s):
+        vals = power_section(np.asarray(s, dtype=complex), self.coeffs.size) @ self.coeffs
+        return vals if vals.shape else complex(vals)
+
+    @staticmethod
+    def monomial(c: complex, n: int = 2) -> "DirichletMultiplier":
+        coeffs = np.zeros(n, dtype=complex)
+        coeffs[n - 1] = c
+        return DirichletMultiplier(coeffs, f"{c}*{n}^(-s)")
 
 
 def dirichlet_convolve(a: CoefficientSeries, b: CoefficientSeries) -> CoefficientSeries:

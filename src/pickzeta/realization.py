@@ -20,7 +20,8 @@ the mobius-kernel section, and each evaluation checks the Neumann
 certificate |T^(-1)| |D| < 1 that controls the resolvent.  The lifts of
 k points lie in the span of the 2k sections n^(-s_i), sqrt(1 + mu(n))
 n^(-s_i) (tensor psi), so V is built, held, evaluated and verified as
-(1 + 2k * rank)-row cores in an orthonormal basis of that span.
+(1 + 2k * rank)-row cores in an orthonormal basis of that span; the
+sections and weights come from one sieve table per truncation.
 Everything is finite and all claims come with computed residuals.
 """
 
@@ -31,7 +32,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dirichlet import DEFAULT_ABS_ERR, CoefficientSeries, power_section, zeta
+from .dirichlet import DEFAULT_ABS_ERR, DirichletMultiplier, SieveTable, zeta
 from .errors import (
     DomainError,
     HypothesisError,
@@ -47,6 +48,18 @@ QR_DROP_TOL = 1e-12
 DEFECT_ZETA_TOL = 1e-13
 CONTRACTION_TOL = 1e-8
 PSD_SLACK = 1e-2
+# Largest truncation a run or a model file may ask for.  A build holds
+# about 120 k bytes per coefficient for k sample points (sections, the
+# section matrix, its QR factors and the span basis): a 4-point build
+# peaks near 0.5 GB at 10^6, ten times the acceptance scale 10^5.
+MAX_TRUNC = 10**6
+
+
+def check_trunc(trunc, name: str) -> None:
+    """Raise ValidationError naming ``name`` unless 1 <= trunc <= MAX_TRUNC,
+    before anything of length trunc is allocated."""
+    if not 1 <= trunc <= MAX_TRUNC:
+        raise ValidationError(f"{name} must lie in 1..{MAX_TRUNC}; got {trunc}")
 
 
 def _factored_norm(left, right) -> float:
@@ -60,44 +73,6 @@ def _column_residual(got, want) -> float:
     """max over columns i of |got_i - want_i| / max(1, |want_i|)."""
     scale = np.maximum(1.0, np.linalg.norm(want, axis=0))
     return float((np.linalg.norm(got - want, axis=0) / scale).max())
-
-
-def mobius_weights(trunc: int) -> np.ndarray:
-    """sqrt(1 + mu(m)) for m = 1..trunc: the feature weights of zeta + 1/zeta."""
-    return np.sqrt(CoefficientSeries.one_plus_mobius(trunc).coeffs.real)
-
-
-@dataclass(frozen=True)
-class DirichletMultiplier:
-    """A Dirichlet polynomial c_1 + c_2 2^(-s) + ... with the sufficient
-    contractivity certificate sum |c_n| <= 1 (hence sup over Re > 0 <= 1)."""
-
-    coeffs: np.ndarray
-    label: str = ""
-
-    def __post_init__(self):
-        arr = np.asarray(self.coeffs, dtype=complex)
-        if arr.ndim != 1 or arr.size < 1:
-            raise ValidationError("multiplier needs a nonempty coefficient vector")
-        object.__setattr__(self, "coeffs", arr)
-
-    @property
-    def declared_norm(self) -> float:
-        return float(np.abs(self.coeffs).sum())
-
-    @property
-    def certified(self) -> bool:
-        return self.declared_norm <= 1.0 + 1e-14
-
-    def __call__(self, s):
-        vals = power_section(np.asarray(s, dtype=complex), self.coeffs.size) @ self.coeffs
-        return vals if vals.shape else complex(vals)
-
-    @staticmethod
-    def monomial(c: complex, n: int = 2) -> "DirichletMultiplier":
-        coeffs = np.zeros(n, dtype=complex)
-        coeffs[n - 1] = c
-        return DirichletMultiplier(coeffs, f"{c}*{n}^(-s)")
 
 
 def _defect_fill(points, values, zeta_tol: float) -> np.ndarray:
@@ -144,7 +119,8 @@ def psd_factor(gram, tol: float = DEFAULT_PSD_TOL):
 class FeatureTransfer:
     """Invertible map between truncated feature spaces sending the
     zeta-kernel section f = n^(-conj(point)) to the mobius-kernel section
-    g = sqrt(1 + mu(n)) f.
+    g = sqrt(1 + mu(n)) f, both read from the truncation's SieveTable
+    (``table``, built for ``trunc`` when not given).
 
     T = H_g (diag(d1, alpha, ..., alpha)) H_f with H_f, H_g the Householder
     reflections swapping f / |f| and g / |g| with -e0 (f[0] = 1 and
@@ -158,22 +134,22 @@ class FeatureTransfer:
     """
 
     def __init__(self, point: complex, alpha: complex = DEFAULT_ALPHA,
-                 trunc: int = 1000, mu_sqrt: np.ndarray | None = None):
+                 trunc: int = 1000, table: SieveTable | None = None):
         point = complex(point)
         if not point.real > 0.5:
             raise DomainError(f"point {point} must satisfy Re > 1/2")
         if not abs(alpha) > 1.0:
             raise DomainError("alpha must satisfy |alpha| > 1")
-        if mu_sqrt is None:
-            mu_sqrt = mobius_weights(trunc)
-        if mu_sqrt.size != trunc:
-            raise ValidationError("mu_sqrt length must equal the truncation")
+        if table is None:
+            table = SieveTable(trunc)
+        if table.trunc != trunc:
+            raise ValidationError("the sieve table's truncation must equal trunc")
         self.point = point
         self.alpha = complex(alpha)
         self.trunc = int(trunc)
 
-        f_star = power_section(point, trunc)  # conj(f), as mu_sqrt is real
-        self.sections = np.stack([f_star, mu_sqrt * f_star])
+        f_star = table.section(point)  # conj(f), as mu_sqrt is real
+        self.sections = np.stack([f_star, table.mu_sqrt * f_star])
         nf = self.section_norm = float(np.linalg.norm(f_star))
         ng = self.image_norm = float(np.linalg.norm(self.sections[1]))
         self.section_ratio = nf / ng
@@ -207,23 +183,47 @@ class FeatureTransfer:
 
 
 def feature_transfer(point, alpha: complex = DEFAULT_ALPHA, trunc: int = 1000,
-                     mu_sqrt: np.ndarray | None = None) -> FeatureTransfer:
-    return FeatureTransfer(point, alpha, trunc, mu_sqrt)
+                     table: SieveTable | None = None) -> FeatureTransfer:
+    return FeatureTransfer(point, alpha, trunc, table)
+
+
+def _thin_qr(a: np.ndarray):
+    """Thin QR a = q r with LAPACK's geqrf factors: r is the R of
+    np.linalg.qr(a) bit for bit, and q = H_1 ... H_p restricted to its
+    first p = min(a.shape) columns is formed in compact WY form
+    I - V T V* (Schreiber & Van Loan 1989), T the p x p triangle of the
+    reflector products, at the cost of two products with the n x p V."""
+    h, tau = np.linalg.qr(a, mode="raw")
+    h = h.T  # column-major geqrf output: R on and above the diagonal, V below
+    p = tau.size
+    v1 = np.tril(h[:p, :p], -1) + np.eye(p)
+    v2 = h[p:, :p]
+    vv = v1.conj().T @ v1 + v2.conj().T @ v2
+    t = np.zeros((p, p), dtype=h.dtype)
+    for i in range(p):
+        t[:i, i] = -tau[i] * (t[:i, :i] @ vv[:i, i])
+        t[i, i] = tau[i]
+    w = t @ v1.conj().T
+    q = np.empty((h.shape[0], p), dtype=h.dtype)
+    q[:p] = np.eye(p) - v1 @ w
+    np.matmul(v2, -w, out=q[p:])
+    return q, np.triu(h[:p])
 
 
 class FeatureSpan(NamedTuple):
     """Thin QR [Z | diag(mu_sqrt) Z] = q [r_zeta | r_mobius] of the sample
-    sections z_i = n^(-s_i), n <= trunc; q is trunc x m with m = min(trunc,
-    2k), and diag(R) >= 0 makes it a function of the sections."""
+    sections z_i = n^(-s_i), n <= trunc, all read from one SieveTable; q
+    is trunc x m with m = min(trunc, 2k), and diag(R) >= 0 makes it a
+    function of the sections."""
 
     q: np.ndarray
     r_zeta: np.ndarray
     r_mobius: np.ndarray
 
 
-def feature_span(points, mu_sqrt: np.ndarray) -> FeatureSpan:
-    z = power_section(np.asarray(points, dtype=complex), mu_sqrt.size)
-    q, r = np.linalg.qr(np.vstack([z, mu_sqrt * z]).T)
+def feature_span(points, table: SieveTable) -> FeatureSpan:
+    z = table.section(np.asarray(points, dtype=complex))
+    q, r = _thin_qr(np.vstack([z, table.mu_sqrt * z]).T)
     # LAPACK leaves diag(R) real; flipping signs is exact.
     sign = np.where(np.diagonal(r).real < 0.0, -1.0, 1.0)
     q, r = q * sign, sign[:, None] * r
@@ -240,11 +240,14 @@ class RealizationModel:
     factors are its cores, of shape (1 + m * rank, k) for k sample points
     and m = min(trunc, 2k), where row 1 + a * rank + j pairs column a of Q
     with coordinate j of psi (k = 1 for the rank-0 model [[a]] [[1]]*).
-    ``span`` is derived from points and trunc at build or decode, never
-    stored.  a = v_left[0] v_right[0]*; the dense d_left, d_right (trunc *
-    rank rows), D = d_left d_right*, beta = d_right conj(v_left[0]) and
-    gamma = d_left conj(v_right[0]) are formed on each access, for
-    independent checks only.
+    ``table`` (the SieveTable of trunc) and ``span`` are derived from
+    points and trunc at build or decode, never stored, and shared by
+    scaled() and replace(); every trunc-length section and weight the
+    model's operations use is read from ``table``.  a = v_left[0]
+    v_right[0]*; the dense d_left, d_right (trunc * rank rows), D = d_left
+    d_right*, beta = d_right conj(v_left[0]) and gamma = d_left
+    conj(v_right[0]) are formed on each access, for independent checks
+    only.
 
     The arrays are made read-only (not copied) on construction, so
     d_norm(), contraction_sigma() and block_gram() compute their values
@@ -260,13 +263,13 @@ class RealizationModel:
     psi: np.ndarray
     v_left: np.ndarray
     v_right: np.ndarray
-    mu_sqrt: np.ndarray
+    table: SieveTable
     span: FeatureSpan
     certificates: dict
     multiplier: DirichletMultiplier | None = None
 
     def __post_init__(self):
-        for arr in (self.psi, self.v_left, self.v_right, self.mu_sqrt, *self.span):
+        for arr in (self.psi, self.v_left, self.v_right, *self.span):
             arr.flags.writeable = False
 
     def _dense(self, core: np.ndarray) -> np.ndarray:
@@ -377,8 +380,8 @@ def build_realization(phi: DirichletMultiplier, points, trunc: int = 1000,
     gram = defect_gram(phi, pts)
     psi, rank = psd_factor(gram)
     psi = np.ascontiguousarray(psi)
-    mu_sqrt = mobius_weights(trunc)
-    span = feature_span(pts, mu_sqrt)
+    table = SieveTable(trunc)
+    span = feature_span(pts, table)
     phi_vals = np.array([complex(phi(p)) for p in pts])
 
     if rank == 0:
@@ -394,7 +397,7 @@ def build_realization(phi: DirichletMultiplier, points, trunc: int = 1000,
         return RealizationModel(
             points=pts, trunc=trunc, rank=0, alpha=complex(DEFAULT_ALPHA), psi=psi,
             v_left=np.array([[phi_vals[0]]]), v_right=np.ones((1, 1), dtype=complex),
-            mu_sqrt=mu_sqrt, span=span, certificates=certs, multiplier=phi,
+            table=table, span=span, certificates=certs, multiplier=phi,
         )
 
     x, y2 = _lifts(span, psi)
@@ -411,7 +414,7 @@ def build_realization(phi: DirichletMultiplier, points, trunc: int = 1000,
             suggested_trunc=int(np.ceil(trunc * growth)),
         )
 
-    q, r_mat = np.linalg.qr(x)
+    q, r_mat = _thin_qr(x)
     # The singular values of R are those of x; any triangular factor has
     # sigma_min / sigma_max <= min|r_ii| / max|r_ii|.
     r_svals = np.linalg.svd(r_mat, compute_uv=False)
@@ -443,7 +446,7 @@ def build_realization(phi: DirichletMultiplier, points, trunc: int = 1000,
         # C-contiguous, so evaluations of a deserialized model take the
         # same BLAS paths bit for bit.
         v_left=np.ascontiguousarray(w_iso), v_right=np.ascontiguousarray(q),
-        mu_sqrt=mu_sqrt, span=span, certificates=certs, multiplier=phi,
+        table=table, span=span, certificates=certs, multiplier=phi,
     )
     certs["sigma_max"] = model.contraction_sigma()
     certs["d_norm"] = model.d_norm()
@@ -475,7 +478,7 @@ def evaluate_realization(model: RealizationModel, s) -> complex:
     if model.rank == 0 or not model.v_right[0].any():
         return model.a
     # T is built at the conjugate point.
-    t = FeatureTransfer(np.conj(s), model.alpha, model.trunc, model.mu_sqrt)
+    t = FeatureTransfer(np.conj(s), model.alpha, model.trunc, model.table)
     # |D| comes from the model's read-only factors, computed once per
     # instance; the stored certificates are never trusted.
     neumann = t.inverse_norm * model.d_norm()

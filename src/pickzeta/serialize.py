@@ -15,12 +15,11 @@ import json
 
 import numpy as np
 
-from .dirichlet import CoefficientSeries
+from .dirichlet import CoefficientSeries, DirichletMultiplier, SieveTable
 from .errors import ValidationError
 from .kernels import DIAGONAL, KernelSpec, ZETA_POWER
 from .pick import CONVENTION, InterpolationProblem, PickCertificate
-from .realization import (DirichletMultiplier, RealizationModel, feature_span,
-                          mobius_weights, span_residual)
+from .realization import RealizationModel, check_trunc, feature_span, span_residual
 from .schur import HalfPlaneSchurFunction, RationalSchurFunction
 
 SCHEMA = "pickzeta/1"
@@ -213,6 +212,7 @@ def decode_model(data) -> RealizationModel:
         raise ValidationError(
             f"model field 'schema' is {data.get('schema')!r}; expected {MODEL_SCHEMA!r}")
     trunc = _count(data, "trunc", 1, "model")
+    check_trunc(trunc, "model field 'trunc'")
     rank = _count(data, "rank", 0, "model")
     alpha = decode_complex(data["alpha"])
     if not (np.isfinite(alpha) and abs(alpha) > 1.0):
@@ -239,7 +239,7 @@ def decode_model(data) -> RealizationModel:
                 f"model field {name!r} has shape {arrays[name].shape}, expected {want} "
                 f"for {len(points)} points, trunc {trunc}, rank {rank}")
     mult = decode_multiplier(data["multiplier"]) if data.get("multiplier") else None
-    mu_sqrt = mobius_weights(trunc)
+    table = SieveTable(trunc)
     model = RealizationModel(
         points=points,
         trunc=trunc,
@@ -248,8 +248,8 @@ def decode_model(data) -> RealizationModel:
         psi=arrays["psi"],
         v_left=arrays["v_left"],
         v_right=arrays["v_right"],
-        mu_sqrt=mu_sqrt,
-        span=feature_span(points, mu_sqrt),
+        table=table,
+        span=feature_span(points, table),
         certificates=dict(data.get("certificates", {})),
         multiplier=mult,
     )

@@ -62,6 +62,23 @@ def mobius_trial(n: int) -> int:
     return -1 if count % 2 else 1
 
 
+def mobius_all_primes(limit: int) -> np.ndarray:
+    """mu(0..limit) as int64 (mu(0) = 0), flipping the sign of the
+    multiples of every prime p <= limit and zeroing those of p^2: the
+    package's Mobius sieve before it read the primes up to sqrt(limit) only."""
+    is_prime = np.ones(limit + 1, dtype=bool)
+    is_prime[:2] = False
+    for p in range(2, math.isqrt(limit) + 1):
+        if is_prime[p]:
+            is_prime[p * p :: p] = False
+    mu = np.ones(limit + 1, dtype=np.int64)
+    for p in np.flatnonzero(is_prime):
+        mu[p::p] *= -1
+        mu[p * p :: p * p] = 0
+    mu[0] = 0
+    return mu
+
+
 def primes_trial(count: int) -> list:
     """The first ``count`` primes by trial division, no sieve."""
     out = []
@@ -162,7 +179,7 @@ def dense_transfer(point, alpha, mu_sqrt) -> tuple:
 def dense_resolvent_value(model, s) -> complex:
     """a + <(T (x) I_r - d_left d_right*)^(-1) gamma, beta> by one dense
     solve, T = dense_transfer at the conjugate point (so f = n^(-s))."""
-    t = dense_transfer(np.conj(complex(s)), model.alpha, model.mu_sqrt)[0]
+    t = dense_transfer(np.conj(complex(s)), model.alpha, model.table.mu_sqrt)[0]
     m = np.kron(t, np.eye(model.rank)) - model.d_left @ model.d_right.conj().T
     return complex(model.a + np.vdot(model.beta, np.linalg.solve(m, model.gamma)))
 
@@ -177,7 +194,7 @@ def dense_build(model, phi_values) -> SimpleNamespace:
     n = np.arange(1, model.trunc + 1, dtype=float)
     z = np.exp(-np.multiply.outer(np.array(model.points), np.log(n)))
     x = np.vstack([np.ones(len(z)), np.stack([np.kron(zi, p) for zi, p in zip(z, model.psi)], 1)])
-    y = np.vstack([phi_values, np.stack([np.kron(model.mu_sqrt * zi, p)
+    y = np.vstack([phi_values, np.stack([np.kron(model.table.mu_sqrt * zi, p)
                                          for zi, p in zip(z, model.psi)], 1)])
     q, r = np.linalg.qr(x)
     u, svals, vh = np.linalg.svd(y @ np.linalg.inv(r), full_matrices=False)
@@ -196,4 +213,4 @@ def dense_build(model, phi_values) -> SimpleNamespace:
         v_left=v_left, v_right=q, a=complex(v_left[0] @ q[0].conj()),
         d_left=v_left[1:], d_right=q[1:], beta=q[1:] @ v_left[0].conj(),
         gamma=v_left[1:] @ q[0].conj(), certificates=certs, trunc=model.trunc,
-        rank=model.rank, alpha=model.alpha, mu_sqrt=model.mu_sqrt)
+        rank=model.rank, alpha=model.alpha, table=model.table)

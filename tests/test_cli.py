@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 import pickzeta
-from pickzeta import ValidationError
+from pickzeta import RunConfig, ValidationError
 from pickzeta.cli import main, parse_complex, parse_m_range
+from pickzeta.realization import MAX_TRUNC
 from pickzeta.serialize import (
     decode_model,
     decode_problem,
@@ -422,6 +423,8 @@ class TestRealizeCommand:
         "schema_dense_factors": ("schema", lambda data: "pickzeta/2"),
         "schema_null": ("schema", lambda data: None),
         "trunc_fraction": ("trunc", lambda data: data["trunc"] + 0.7),
+        # Rejected before decoding allocates anything of length trunc.
+        "trunc_above_bound": ("trunc", lambda data: 10**12),
         "rank_fraction": ("rank", lambda data: data["rank"] + 0.5),
         "alpha_nan": ("alpha", lambda data: [float("nan"), 0.0]),
         "alpha_inside_disc": ("alpha", lambda data: [0.5, 0.0]),
@@ -491,6 +494,24 @@ class TestRealizeCommand:
         assert err["kind"] == "ValidationError"
         assert "verification grid" in err["error"]
 
+    # Both values fail RunConfig's check, before anything of length trunc
+    # is allocated (10^12 used to end in a numpy MemoryError traceback).
+    @pytest.mark.parametrize("trunc", ["1000000000000", str(MAX_TRUNC + 1)])
+    def test_trunc_above_bound_exit_2(self, capsys, tmp_path, phi_file, trunc):
+        code, out = run_cli(capsys, "realize", "--phi", phi_file, "--points", "1.05,1.4",
+                            "--trunc", trunc, "--model-out", str(tmp_path / "m.json"))
+        error = json.loads(out)
+        assert (code, error["kind"]) == (2, "ValidationError")
+        assert error["error"].startswith("trunc must lie in")
+        assert not (tmp_path / "m.json").exists()
+
+    def test_config_trunc_above_bound_exit_2(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"trunc": 10**12}))
+        code, out = run_cli(capsys, "--config", str(cfg), "zeta", "--s", "2")
+        assert code == 2
+        assert "trunc" in json.loads(out)["error"]
+
     @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
     def test_bad_build_tol_exit_2(self, capsys, tmp_path, phi_file, tol):
         code, out = run_cli(capsys, "realize", "--phi", phi_file,
@@ -545,6 +566,11 @@ class TestConfig:
         code, out = run_cli(capsys, "zeta", "--s", "2", "--format", "human")
         assert code == 0
         assert "pickzeta/1" in out
+
+    def test_trunc_bound_is_inclusive(self):
+        assert RunConfig(trunc=MAX_TRUNC).trunc == MAX_TRUNC >= 10**5
+        with pytest.raises(ValidationError, match="trunc"):
+            RunConfig(trunc=MAX_TRUNC + 1)
 
     @pytest.mark.parametrize("key", ["seed", "prime_limit"])
     def test_removed_keys_are_unknown(self, capsys, tmp_path, key):

@@ -1,5 +1,8 @@
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pickzeta import (
     AccuracyError,
@@ -17,9 +20,12 @@ from pickzeta import (
     zeta_reciprocal,
 )
 
+from pickzeta.dirichlet import SieveTable, power_section
+
 from oracles import (
     divisor_counts,
     divisor_function_m,
+    mobius_all_primes,
     mobius_trial,
     primes_trial,
     zeta_alternating,
@@ -127,6 +133,69 @@ class TestMobius:
     def test_factorization_limit(self):
         with pytest.raises(AccuracyError):
             mobius(10**14 + 1)
+
+
+class TestSieveTable:
+    """mobius_range and the table's sections against independent oracles."""
+
+    def test_mobius_range_matches_trial_division(self):
+        mu = mobius_range(3000)
+        assert mu.tolist() == [0] + [mobius_trial(n) for n in range(1, 3001)]
+
+    @pytest.mark.parametrize("limit", [10**5, 10**6])
+    def test_mobius_range_matches_the_all_primes_sieve(self, limit):
+        mu, want = mobius_range(limit), mobius_all_primes(limit)
+        assert mu.dtype == want.dtype == np.int64
+        assert np.array_equal(mu, want)
+
+    def test_weights_are_sqrt_one_plus_mu(self):
+        table = SieveTable(3000)
+        want = np.sqrt([1.0 + mobius_trial(n) for n in range(1, 3001)])
+        assert np.array_equal(table.mu_sqrt, want)
+
+    # n^(-s) has condition number |s| log n in s, so both the exp and the
+    # product paths carry errors of a few eps (1 + |s| log n): 4 eps is
+    # tighter than 1e-14 while |s| log n < 10, and about 2e-12 at
+    # |Im s| = 1e3, trunc 5000, where each path is that far from mpmath.
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(trunc=st.integers(1, 5000),
+           re=st.floats(0.5, 4.0, exclude_min=True), im=st.floats(-1e3, 1e3))
+    @example(trunc=1, re=1.0, im=0.0)
+    @example(trunc=2, re=0.5001, im=-1e3)
+    @example(trunc=3, re=4.0, im=1e3)
+    def test_section_matches_power_section(self, trunc, re, im):
+        s = complex(re, im)
+        got, want = SieveTable(trunc).section(s), power_section(s, trunc)
+        tol = 4.0 * np.finfo(float).eps * (1.0 + abs(s) * np.log(np.arange(1, trunc + 1)))
+        assert got.shape == want.shape
+        assert (np.abs(got - want) <= tol * np.abs(want)).all()
+
+    def test_prime_entries_and_point_arrays_are_exact(self):
+        table = SieveTable(4000)
+        points = np.array([1.05, 1.4 + 0.3j, 0.6 - 40.0j])
+        many = table.section(points)
+        assert many.shape == (3, 4000)
+        primes = [p - 1 for p in primes_trial(600) if p <= 4000]
+        for row, s in zip(many, points):
+            assert np.array_equal(row, table.section(s))
+            assert np.array_equal(row[primes], power_section(s, 4000)[primes])
+
+    @pytest.mark.parametrize("s", [1.4 - 0.3j, 2.0 + 1000.0j])
+    def test_section_against_mpmath(self, s):
+        # 2^16, 3^10, 2^8 3^5 5^2 and the largest prime below 1e5.
+        ns = [2**16, 3**10, 2**8 * 3**5 * 5**2, 99991]
+        section = SieveTable(max(ns)).section(s)
+        with mpmath.workdps(30):
+            for n in ns:
+                exact = complex(mpmath.power(n, -mpmath.mpc(s.real, s.imag)))
+                tol = 4.0 * np.finfo(float).eps * (1.0 + abs(s) * np.log(n))
+                assert abs(section[n - 1] - exact) <= tol * abs(exact)
+
+    def test_table_is_read_only(self):
+        table = SieveTable(100)
+        for arr in (table.mu_sqrt, table.log_primes, table.left, table.right):
+            with pytest.raises(ValueError):
+                arr[0] = 0
 
     @pytest.mark.parametrize("n", [10**8 + 7, 10**8 + 8, 99991 * 99989, 6 * 10007**2])
     def test_past_old_table_cap(self, n):

@@ -461,6 +461,28 @@ class TestCoreOnly:
         with pytest.raises(AssertionError, match="dense view"):
             model.d_left
 
+    @pytest.mark.parametrize("shape", [(10**4, 8), (40, 8), (8, 8), (5, 8), (1, 2)])
+    def test_thin_qr_keeps_lapacks_r(self, shape):
+        # trunc >= 2k, square, trunc < 2k, and trunc 1, where the real
+        # sections make a zero reflector (tau = 0).
+        rng = np.random.default_rng(7)
+        a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        if shape[0] == 1:
+            a = np.abs(a) + 0j
+        q, r = realization._thin_qr(a)
+        q_ref, r_ref = np.linalg.qr(a)
+        assert np.array_equal(r, r_ref)
+        assert q.shape == q_ref.shape and np.abs(q - q_ref).max() < 1e-14
+        assert np.abs(q.conj().T @ q - np.eye(q.shape[1])).max() < 1e-14
+
+    def test_span_r_is_lapacks_r_of_the_table_sections(self):
+        table = realization.SieveTable(10**4)
+        span = realization.feature_span(POINTS, table)
+        z = table.section(np.array(POINTS, dtype=complex))
+        r = np.linalg.qr(np.vstack([z, table.mu_sqrt * z]).T, mode="r")
+        sign = np.where(np.diagonal(r).real < 0.0, -1.0, 1.0)[:, None]
+        assert np.array_equal(np.hstack([span.r_zeta, span.r_mobius]), sign * r)
+
     def test_cores_have_one_plus_2k_r_rows(self):
         model = build_realization(DirichletMultiplier.monomial(0.5), POINTS, trunc=10**4)
         assert model.v_left.shape == model.v_right.shape == (1 + 8 * model.rank, 4)
@@ -608,10 +630,17 @@ class TestComputedOnce:
             assert np.abs(derived.block_gram() - want).max() < 1e-12 * np.abs(want).max()
         assert len(counted_gram) == 2
 
+    def test_derived_models_share_the_table(self):
+        model = self._model()
+        assert model.scaled(1.5).table is model.table
+        assert replace(model, certificates={}).table is model.table
+        assert decode_model(encode_model(model)).table is not model.table
+
     @pytest.mark.parametrize("derive", DERIVED)
     def test_blocks_are_read_only(self, derive):
         model = DERIVED[derive](self._model())
-        for block in (model.psi, model.v_left, model.v_right, model.mu_sqrt, *model.span):
+        table = [getattr(model.table, name) for name in ("mu_sqrt", "log_primes", "left", "right")]
+        for block in (model.psi, model.v_left, model.v_right, *table, *model.span):
             with pytest.raises(ValueError):
                 block[(0,) * block.ndim] = 0
         # The dense views are fresh arrays, so writing to one leaves the model alone.

@@ -1,4 +1,5 @@
 import json
+import pathlib
 
 import numpy as np
 import pytest
@@ -15,9 +16,13 @@ from pickzeta import (
     evaluate_realization,
     solve_disc,
     szego_half_plane,
+    verify_realization,
     zeta_power_kernel,
 )
+from pickzeta import serialize
+from pickzeta.realization import MAX_TRUNC, span_residual
 from pickzeta.serialize import (
+    SPAN_TOL,
     decode_complex,
     decode_kernel,
     decode_model,
@@ -29,6 +34,7 @@ from pickzeta.serialize import (
     encode_model,
     encode_problem,
     encode_solution,
+    load_json,
 )
 
 
@@ -138,6 +144,37 @@ class TestModelWire:
         back = decode_model(json.loads(text))
         assert np.array_equal(back.span.q, model.span.q)
         assert evaluate_realization(back, 1.2) == evaluate_realization(model, 1.2)
+
+
+class TestModelFileTrunc:
+    PARENT_FILE = pathlib.Path(__file__).parent / "data" / "model_pickzeta3_trunc2000.json"
+
+    def test_file_written_before_the_sieve_table_loads(self):
+        # A pickzeta/3 file built with exp sections and LAPACK's Q (trunc
+        # 2000, 3 points, rank 3): the recomputed basis spans its lifts and
+        # the model verifies.
+        model = decode_model(load_json(str(self.PARENT_FILE)))
+        assert (model.trunc, model.rank, len(model.points)) == (2000, 3, 3)
+        assert span_residual(model) <= SPAN_TOL
+        report = verify_realization(model)
+        assert report.passed and report.evaluation_error is None
+        # The values the writing build reported for its sample points.
+        written = [0.3943642884916895 + 0.024887913420731652j,
+                   0.2212848665266716 - 0.09089462461530687j,
+                   0.23679214109406485 + 0.059055850103977015j]
+        for s, value in zip(model.points, written):
+            assert abs(evaluate_realization(model, s) - value) < 1e-12
+
+    @pytest.mark.parametrize("trunc", [10**12, MAX_TRUNC + 1])
+    def test_trunc_above_bound_rejected_before_any_table(self, monkeypatch, trunc):
+        def refuse(*args):
+            raise AssertionError("a sieve table was built")
+
+        monkeypatch.setattr(serialize, "SieveTable", refuse)
+        data = json.loads(self.PARENT_FILE.read_text())
+        data["trunc"] = trunc
+        with pytest.raises(ValidationError, match="'trunc'"):
+            decode_model(data)
 
 
 class TestCanonicalDump:
