@@ -134,6 +134,14 @@ class TestMobius:
         with pytest.raises(AccuracyError):
             mobius(10**14 + 1)
 
+    @pytest.mark.parametrize("n", [10**8 + 7, 10**8 + 8, 99991 * 99989, 6 * 10007**2])
+    def test_past_old_table_cap(self, n):
+        assert mobius(n) == mobius_trial(n)
+
+    def test_rejects_nonpositive(self):
+        with pytest.raises(DomainError):
+            mobius(0)
+
 
 class TestSieveTable:
     """mobius_range and the table's sections against independent oracles."""
@@ -196,14 +204,6 @@ class TestSieveTable:
         for arr in (table.mu_sqrt, table.log_primes, table.left, table.right):
             with pytest.raises(ValueError):
                 arr[0] = 0
-
-    @pytest.mark.parametrize("n", [10**8 + 7, 10**8 + 8, 99991 * 99989, 6 * 10007**2])
-    def test_past_old_table_cap(self, n):
-        assert mobius(n) == mobius_trial(n)
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(DomainError):
-            mobius(0)
 
 
 class TestConvolution:
